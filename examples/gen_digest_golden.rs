@@ -1,12 +1,19 @@
 //! Regenerates the golden digest fixtures under `tests/fixtures/`.
 //!
 //! For a matrix of (algorithm × seed × sampled fault plan) this runs the
-//! nemesis driver to completion and records the world's final digest and
-//! trace length. `tests/digest_golden.rs` replays the stored plans on
-//! every test run and asserts byte-identical digests, so any change to
-//! the simulator's state representation, scheduler order, fault
-//! semantics, or digest fold shows up as a tier-1 failure — the fixture
-//! is the contract that hot-loop rework preserves observable behavior.
+//! nemesis driver to completion and records the world's final digest, the
+//! trace length, a `trace_hash` of the `StepInfo` sequence and a
+//! `history_hash` of the operation records. `tests/digest_golden.rs`
+//! replays the stored plans on every test run and asserts byte-identical
+//! values, so any change to the simulator's state representation,
+//! scheduler order, fault semantics, or digest fold shows up as a tier-1
+//! failure — the fixture is the contract that hot-loop rework preserves
+//! observable behavior.
+//!
+//! The two hashes are independent of the protocol's message and node
+//! representation (the world digest is not: queued messages are digested
+//! through their `Debug` rendering), so they pin the *behaviour* of an
+//! execution across a change of automaton.
 //!
 //! Only regenerate after an *intentional* semantic change, and say so in
 //! the commit that updates the fixture:
@@ -15,8 +22,11 @@
 //! cargo run --release --example gen_digest_golden
 //! ```
 
-use shmem_algorithms::nemesis::{run_plan, ClusterShape, FaultPlan};
-use shmem_algorithms::{AbdCluster, CasCluster, GossipCluster, NwbCluster, ValueSpec};
+use shmem_algorithms::harness::Cluster;
+use shmem_algorithms::nemesis::{run_plan, ClusterShape, FaultPlan, NemesisRun};
+use shmem_algorithms::{AbdCluster, CasCluster, GossipCluster, NwbCluster};
+use shmem_algorithms::{RegInv, RegResp, ValueSpec};
+use shmem_sim::{hash_debug, Protocol};
 use shmem_util::json::Json;
 use shmem_util::DetRng;
 use std::fs;
@@ -25,6 +35,17 @@ use std::path::Path;
 /// Salt folded into each seed before plan sampling, so fixture plans are
 /// not correlated with any other DetRng stream in the repo.
 const PLAN_SALT: u64 = 0x60_1DE2_D16E;
+
+/// Runs `plan` on `cluster`; returns the run and the hash of its
+/// operation records.
+fn replay<P: Protocol<Inv = RegInv, Resp = RegResp>>(
+    mut cluster: Cluster<P>,
+    seed: u64,
+    plan: &FaultPlan,
+) -> (NemesisRun, u64) {
+    let run = run_plan(&mut cluster, seed, plan);
+    (run, hash_debug(cluster.sim.ops()))
+}
 
 fn main() {
     let spec = ValueSpec::from_bits(64.0);
@@ -43,11 +64,11 @@ fn main() {
         };
         for seed in 1u64..=3 {
             let plan = FaultPlan::sample(&mut DetRng::seed_from_u64(seed ^ PLAN_SALT), shape);
-            let run = match algorithm {
-                "abd" => run_plan(&mut AbdCluster::new(n, f, clients, spec), seed, &plan),
-                "abd-gossip" => run_plan(&mut GossipCluster::new(n, f, clients, spec), seed, &plan),
-                "cas" => run_plan(&mut CasCluster::new(n, f, clients, spec), seed, &plan),
-                "nowriteback" => run_plan(&mut NwbCluster::new(n, f, clients, spec), seed, &plan),
+            let (run, history_hash) = match algorithm {
+                "abd" => replay(AbdCluster::new(n, f, clients, spec), seed, &plan),
+                "abd-gossip" => replay(GossipCluster::new(n, f, clients, spec), seed, &plan),
+                "cas" => replay(CasCluster::new(n, f, clients, spec), seed, &plan),
+                "nowriteback" => replay(NwbCluster::new(n, f, clients, spec), seed, &plan),
                 other => unreachable!("unknown algorithm {other}"),
             };
             entries.push(Json::Obj(vec![
@@ -62,6 +83,14 @@ fn main() {
                     Json::str(format!("{:#018x}", run.final_digest)),
                 ),
                 ("trace_len".into(), Json::Num(run.trace.len() as f64)),
+                (
+                    "trace_hash".into(),
+                    Json::str(format!("{:#018x}", hash_debug(&run.trace))),
+                ),
+                (
+                    "history_hash".into(),
+                    Json::str(format!("{history_hash:#018x}")),
+                ),
                 ("plan".into(), plan.to_json()),
             ]));
         }
