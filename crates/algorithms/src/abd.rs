@@ -1,21 +1,30 @@
 //! The Attiya–Bar-Noy–Dolev (ABD) replication algorithm \[3\], in its
-//! multi-writer multi-reader form.
+//! multi-writer multi-reader form, as one keyed automaton.
 //!
 //! * **Write**: query a majority for the highest tag; pick the successor
 //!   tag; store `(tag, value)` at a majority.
 //! * **Read**: query a majority for the highest `(tag, value)`; write that
 //!   pair back to a majority; return the value.
 //!
-//! Servers hold exactly one `(tag, value)` pair, so per-server storage is
-//! `log2|V|` bits of value plus `o(log|V|)` of tag metadata — the
+//! Servers hold one `(tag, value)` pair per register, so per-server storage
+//! is `log2|V|` bits of value plus `o(log|V|)` of tag metadata — the
 //! replication cost the paper's Figure 1 plots as `f + 1` (on a minimal
 //! replica set) and that Theorem 6.5 shows is optimal once the number of
 //! active writes reaches `f + 1`.
 //!
+//! There is one server automaton ([`ShardedAbdServerOn`], generic over the
+//! [`AbdBackend`] holding its registers) and one client automaton
+//! ([`ShardedAbdClient`]); both speak batches of keys ([`IntoBatch`],
+//! [`FromBatch`]). [`ShardedAbd`] serves a keyspace; [`Abd`] and its
+//! variants ([`crate::abd_gossip`], [`crate::swmr`],
+//! [`crate::nowriteback`], [`crate::lossy`]) serve one register, the
+//! one-key batch at key 0 of [`ShardMap::full`].
+//!
 //! ABD sends no server-to-server messages, so it is a member of the
 //! Theorem 4.1 (no-gossip) algorithm class.
 
-use crate::backend::{AbdBackend, LocalAbd};
+use crate::backend::{AbdBackend, LocalAbd, OneSlot};
+use crate::multikey::{assert_well_formed, FromBatch, IntoBatch, Items};
 use crate::multikey::{Key, MultiInv, MultiResp, ShardMap, KEY_WIRE_BYTES, RID_WIRE_BYTES};
 use crate::reg::{RegInv, RegResp};
 use crate::tag::Tag;
@@ -23,320 +32,61 @@ use crate::value::{Value, ValueSpec};
 use shmem_sim::{hash_of, Ctx, Node, NodeId, Protocol};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Protocol marker for ABD.
+/// Protocol marker for single-register ABD: the keyed automata serving one
+/// register, key 0 of [`ShardMap::full`], over a [`OneSlot`] backend.
 pub struct Abd;
 
 impl Protocol for Abd {
-    type Msg = AbdMsg;
+    type Msg = ShardedAbdMsg;
     type Inv = RegInv;
     type Resp = RegResp;
-    type Server = AbdServer;
-    type Client = AbdClient;
+    type Server = ShardedAbdServerOn<OneSlot>;
+    type Client = ShardedAbdClient;
 
-    fn corrupt_server(server: &mut AbdServer, mode: u8, salt: u64) -> bool {
-        server.corrupt(mode, salt)
+    fn msg_wire_bytes(msg: &ShardedAbdMsg) -> u64 {
+        msg.wire_bytes()
     }
 
-    fn corrupt_msg(msg: &mut AbdMsg, salt: u64) -> bool {
+    fn corrupt_server(server: &mut ShardedAbdServerOn<OneSlot>, mode: u8, salt: u64) -> bool {
+        server.backend_mut().corrupt(mode, salt)
+    }
+
+    fn corrupt_msg(msg: &mut ShardedAbdMsg, salt: u64) -> bool {
         corrupt_abd_msg(msg, salt)
     }
 }
 
-/// ABD wire messages. `rid` is a per-client phase nonce; stale responses
-/// are discarded by nonce mismatch.
-#[derive(Clone, Debug, PartialEq)]
-pub enum AbdMsg {
-    /// Phase 1: ask a server for its current `(tag, value)`.
-    Query {
-        /// Phase nonce.
-        rid: u64,
-    },
-    /// Server's phase-1 reply.
-    QueryResp {
-        /// Echoed nonce.
-        rid: u64,
-        /// The server's current tag.
-        tag: Tag,
-        /// The server's current value.
-        value: Value,
-    },
-    /// Phase 2: store `(tag, value)` (write propagation or read
-    /// write-back).
-    Store {
-        /// Phase nonce.
-        rid: u64,
-        /// Tag to store.
-        tag: Tag,
-        /// Value to store.
-        value: Value,
-    },
-    /// Server's phase-2 acknowledgement.
-    StoreAck {
-        /// Echoed nonce.
-        rid: u64,
-    },
+/// Whether an ABD message is *value-dependent* (the paper's Definition
+/// 6.4: its content depends on the value being written), restricted to
+/// client-to-server traffic — what the Section 6 construction withholds.
+/// Only `Store` carries the value, so ABD writes send value-dependent
+/// messages in exactly one phase (the second): ABD satisfies Assumption 3.
+pub fn is_value_dependent_upstream(msg: &ShardedAbdMsg) -> bool {
+    matches!(msg, ShardedAbdMsg::Store { .. })
 }
 
-/// Whether an ABD message is *value-dependent* in the sense of the paper's
-/// Definition 6.4: its content depends on the value being written. Only
-/// `Store` carries the value; queries and acks are metadata. ABD writes
-/// send value-dependent messages in exactly one phase (the second), so ABD
-/// satisfies Assumption 3.
-pub fn is_value_dependent(msg: &AbdMsg) -> bool {
-    matches!(
-        msg,
-        AbdMsg::Store { .. } | AbdMsg::QueryResp { .. } // responses echo the stored value
-    )
-}
-
-/// Value-dependence restricted to client-to-server traffic (what the
-/// Section 6 construction withholds): only `Store`.
-pub fn is_value_dependent_upstream(msg: &AbdMsg) -> bool {
-    matches!(msg, AbdMsg::Store { .. })
-}
-
-/// In-flight corruption for the ABD repertoire: tamper the carried value
-/// of the value-bearing messages, leave routing, nonces and tags intact.
-/// Queries and acks carry no corruptible payload.
-pub(crate) fn corrupt_abd_msg(msg: &mut AbdMsg, salt: u64) -> bool {
+/// In-flight corruption for the ABD repertoire: tamper the carried values
+/// of the value-bearing messages (salted per key), leave routing, nonces,
+/// keys and tags intact. Queries and acks carry no corruptible payload.
+fn corrupt_abd_msg(msg: &mut ShardedAbdMsg, salt: u64) -> bool {
     match msg {
-        AbdMsg::QueryResp { value, .. } | AbdMsg::Store { value, .. } => {
-            *value = shmem_util::tamper_value(*value, salt, 0);
-            true
+        ShardedAbdMsg::QueryResp { items, .. } | ShardedAbdMsg::Store { items, .. } => {
+            for (key, _, value) in items.iter_mut() {
+                *value = shmem_util::tamper_value(*value, salt, *key);
+            }
+            !items.is_empty()
         }
-        AbdMsg::Query { .. } | AbdMsg::StoreAck { .. } => false,
-    }
-}
-
-/// An ABD server: stores the highest-tagged `(tag, value)` pair seen.
-#[derive(Clone, Debug)]
-pub struct AbdServer {
-    tag: Tag,
-    value: Value,
-    spec: ValueSpec,
-}
-
-impl AbdServer {
-    /// A server initialized to the register's initial value.
-    pub fn new(initial: Value, spec: ValueSpec) -> AbdServer {
-        AbdServer {
-            tag: Tag::ZERO,
-            value: initial,
-            spec,
-        }
-    }
-
-    /// The currently stored tag (white-box access for audits).
-    pub fn tag(&self) -> Tag {
-        self.tag
-    }
-
-    /// The currently stored value.
-    pub fn value(&self) -> Value {
-        self.value
-    }
-
-    /// Corruption-adversary entry point: fabricate the stored pair —
-    /// tamper the value and forge a higher tag (writer
-    /// [`crate::corrupt::FORGED_WRITER`]) so the fabrication wins the
-    /// reader's max-tag fold. Replication holds exactly one version, so
-    /// all modes collapse to this one attack.
-    pub fn corrupt(&mut self, _mode: u8, salt: u64) -> bool {
-        self.tag = self.tag.successor(crate::corrupt::FORGED_WRITER);
-        self.value = shmem_util::tamper_value(self.value, salt, 0);
-        true
-    }
-}
-
-impl<P> Node<P> for AbdServer
-where
-    P: Protocol<Msg = AbdMsg, Inv = RegInv, Resp = RegResp>,
-{
-    fn on_message(&mut self, from: NodeId, msg: AbdMsg, ctx: &mut Ctx<P>) {
-        match msg {
-            AbdMsg::Query { rid } => ctx.send(
-                from,
-                AbdMsg::QueryResp {
-                    rid,
-                    tag: self.tag,
-                    value: self.value,
-                },
-            ),
-            AbdMsg::Store { rid, tag, value } => {
-                if tag > self.tag {
-                    self.tag = tag;
-                    self.value = value;
-                }
-                ctx.send(from, AbdMsg::StoreAck { rid });
-            }
-            AbdMsg::QueryResp { .. } | AbdMsg::StoreAck { .. } => {
-                // Servers never receive responses; tolerate and ignore.
-            }
-        }
-    }
-
-    fn state_bits(&self) -> f64 {
-        // One value of the domain: log2 |V| bits.
-        self.spec.bits
-    }
-
-    fn metadata_bits(&self) -> f64 {
-        Tag::BITS
-    }
-
-    fn digest(&self) -> u64 {
-        hash_of(&(self.tag, self.value))
-    }
-}
-
-/// Which phase an ABD client is in. The per-phase response sets live in
-/// reusable buffers on [`AbdClient`], so an operation allocates nothing in
-/// steady state (the old `BTreeMap`/`BTreeSet` paid a node allocation per
-/// phase on the simulator's hot loop).
-#[derive(Clone, Copy, Debug)]
-enum Phase {
-    Idle,
-    Query { op: RegInv },
-    Store { reply: RegResp },
-}
-
-/// An ABD client; acts as writer or reader depending on the invocation.
-#[derive(Clone, Debug)]
-pub struct AbdClient {
-    n: u32,
-    majority: u32,
-    me: u32,
-    rid: u64,
-    phase: Phase,
-    /// Phase-1 responses: `(server, tag, value)`, deduplicated by server,
-    /// cleared at each phase transition.
-    responses: Vec<(u32, Tag, Value)>,
-    /// Phase-2 acknowledging servers, deduplicated, cleared per phase.
-    acks: Vec<u32>,
-}
-
-impl AbdClient {
-    /// A client for an `n`-server cluster. `me` is the client's id, used to
-    /// break tag ties between concurrent writers.
-    pub fn new(n: u32, me: u32) -> AbdClient {
-        AbdClient {
-            n,
-            majority: n / 2 + 1,
-            me,
-            rid: 0,
-            phase: Phase::Idle,
-            // Sized for every server responding, so a phase never grows
-            // them mid-operation.
-            responses: Vec::with_capacity(n as usize),
-            acks: Vec::with_capacity(n as usize),
-        }
-    }
-}
-
-impl<P> Node<P> for AbdClient
-where
-    P: Protocol<Msg = AbdMsg, Inv = RegInv, Resp = RegResp>,
-{
-    fn on_invoke(&mut self, inv: RegInv, ctx: &mut Ctx<P>) {
-        assert!(
-            matches!(self.phase, Phase::Idle),
-            "client invoked while an operation is in flight"
-        );
-        self.rid += 1;
-        self.responses.clear();
-        self.phase = Phase::Query { op: inv };
-        ctx.broadcast_to_servers(self.n, AbdMsg::Query { rid: self.rid });
-    }
-
-    fn on_message(&mut self, from: NodeId, msg: AbdMsg, ctx: &mut Ctx<P>) {
-        let server = match from.as_server() {
-            Some(s) => s.0,
-            None => return, // clients only talk to servers
-        };
-        match (self.phase, msg) {
-            (Phase::Query { op }, AbdMsg::QueryResp { rid, tag, value }) if rid == self.rid => {
-                if self.responses.iter().any(|&(s, _, _)| s == server) {
-                    return; // duplicated delivery of a server's reply
-                }
-                self.responses.push((server, tag, value));
-                if self.responses.len() as u32 == self.majority {
-                    let &(_, max_tag, max_value) = self
-                        .responses
-                        .iter()
-                        .max_by_key(|&&(_, t, _)| t)
-                        .expect("majority is nonempty");
-                    let (tag, value, reply) = match op {
-                        RegInv::Write(v) => (max_tag.successor(self.me), v, RegResp::WriteAck),
-                        RegInv::Read => (max_tag, max_value, RegResp::ReadValue(max_value)),
-                    };
-                    self.rid += 1;
-                    self.acks.clear();
-                    self.phase = Phase::Store { reply };
-                    ctx.broadcast_to_servers(
-                        self.n,
-                        AbdMsg::Store {
-                            rid: self.rid,
-                            tag,
-                            value,
-                        },
-                    );
-                }
-            }
-            (Phase::Store { reply }, AbdMsg::StoreAck { rid }) if rid == self.rid => {
-                if self.acks.contains(&server) {
-                    return; // duplicated ack
-                }
-                self.acks.push(server);
-                if self.acks.len() as u32 == self.majority {
-                    self.phase = Phase::Idle;
-                    self.rid += 1;
-                    ctx.respond(reply);
-                }
-            }
-            _ => {} // stale or out-of-phase message
-        }
-    }
-
-    fn digest(&self) -> u64 {
-        // The response/ack sets are semantically unordered (behavior
-        // depends only on membership), so canonicalize by server id —
-        // arrival order must not distinguish digests.
-        let canonical: (Vec<(u32, Tag, Value)>, Vec<u32>) = match self.phase {
-            Phase::Idle => (Vec::new(), Vec::new()),
-            Phase::Query { .. } => {
-                let mut r = self.responses.clone();
-                r.sort_unstable_by_key(|&(s, _, _)| s);
-                (r, Vec::new())
-            }
-            Phase::Store { .. } => {
-                let mut a = self.acks.clone();
-                a.sort_unstable();
-                (Vec::new(), a)
-            }
-        };
-        let phase_bits = match self.phase {
-            Phase::Idle => (0u8, None, None),
-            Phase::Query { op } => (1, Some(op), None),
-            Phase::Store { reply } => (2, None, Some(reply)),
-        };
-        hash_of(&(
-            self.me,
-            self.rid,
-            phase_bits.0,
-            format!("{:?}{:?}", phase_bits.1, phase_bits.2),
-            canonical,
-        ))
+        ShardedAbdMsg::Query { .. } | ShardedAbdMsg::StoreAck { .. } => false,
     }
 }
 
 /// Protocol marker for sharded multi-register ABD.
 ///
-/// The single-register automaton generalized to a keyspace: servers hold
-/// a per-key `(tag, value)` map (sparse — an absent key reads as the
-/// initial value under [`Tag::ZERO`]), and clients run both ABD phases for
-/// a whole batch of keys at once, coalescing each round into one message
-/// per (client, server) pair. With [`ShardMap::full`] and batch size 1 the
-/// message flow is step-isomorphic to legacy [`Abd`].
+/// Servers hold a per-key `(tag, value)` map (sparse — an absent key reads
+/// as the initial value under [`Tag::ZERO`]), and clients run both ABD
+/// phases for a whole batch of keys at once, coalescing each round into one
+/// message per (client, server) pair. With [`ShardMap::full`] and batch
+/// size 1 the execution is step-for-step that of single-register [`Abd`].
 pub struct ShardedAbd;
 
 impl Protocol for ShardedAbd {
@@ -355,20 +105,13 @@ impl Protocol for ShardedAbd {
     }
 
     fn corrupt_msg(msg: &mut ShardedAbdMsg, salt: u64) -> bool {
-        match msg {
-            ShardedAbdMsg::QueryResp { items, .. } | ShardedAbdMsg::Store { items, .. } => {
-                for (key, _, value) in items.iter_mut() {
-                    *value = shmem_util::tamper_value(*value, salt, *key);
-                }
-                !items.is_empty()
-            }
-            ShardedAbdMsg::Query { .. } | ShardedAbdMsg::StoreAck { .. } => false,
-        }
+        corrupt_abd_msg(msg, salt)
     }
 }
 
-/// Batched ABD wire messages: the legacy repertoire with per-key payload
-/// vectors. `rid` is the per-client phase nonce, exactly as in [`AbdMsg`].
+/// ABD wire messages: per-key payload lists under one phase nonce. `rid`
+/// is the per-client phase nonce; stale responses are discarded by nonce
+/// mismatch.
 #[derive(Clone, Debug, PartialEq)]
 pub enum ShardedAbdMsg {
     /// Phase 1: ask a server for its `(tag, value)` of every listed key.
@@ -376,21 +119,22 @@ pub enum ShardedAbdMsg {
         /// Phase nonce.
         rid: u64,
         /// The keys this server covers for the batch.
-        keys: Vec<Key>,
+        keys: Items<Key>,
     },
     /// Server's phase-1 reply, one entry per queried key.
     QueryResp {
         /// Echoed nonce.
         rid: u64,
         /// `(key, tag, value)` for every queried key.
-        items: Vec<(Key, Tag, Value)>,
+        items: Items<(Key, Tag, Value)>,
     },
-    /// Phase 2: store every listed `(key, tag, value)`.
+    /// Phase 2: store every listed `(key, tag, value)` (write propagation
+    /// or read write-back).
     Store {
         /// Phase nonce.
         rid: u64,
         /// The batch's versions for this server's keys.
-        items: Vec<(Key, Tag, Value)>,
+        items: Items<(Key, Tag, Value)>,
     },
     /// Server's phase-2 acknowledgement, covering every key of the
     /// [`ShardedAbdMsg::Store`] it answers.
@@ -419,13 +163,15 @@ impl ShardedAbdMsg {
     }
 }
 
-/// A sharded ABD server: the highest-tagged `(tag, value)` per key it has
-/// been asked to store. Sparse — untouched keys cost nothing and read as
-/// `(Tag::ZERO, initial)`.
+/// The ABD server: the highest-tagged `(tag, value)` per key it has been
+/// asked to store.
 ///
 /// Generic over the [`AbdBackend`] holding the per-key state, so the same
 /// automaton runs against the sequential in-struct map ([`LocalAbd`], the
-/// default) or a shared lock-free store (`shmem-store`).
+/// default: sparse — untouched keys cost nothing and read as
+/// `(Tag::ZERO, initial)`), the single register ([`OneSlot`]), or a shared
+/// lock-free store (`shmem-store`). Storage accounting and the digest are
+/// the backend's.
 #[derive(Clone, Debug)]
 pub struct ShardedAbdServerOn<B> {
     initial: Value,
@@ -440,6 +186,13 @@ impl ShardedAbdServerOn<LocalAbd> {
     /// A server whose every key starts at the register initial value.
     pub fn new(initial: Value, spec: ValueSpec) -> ShardedAbdServer {
         ShardedAbdServerOn::with_backend(initial, spec, LocalAbd::new())
+    }
+}
+
+impl ShardedAbdServerOn<OneSlot> {
+    /// A single-register server, starting at `initial`.
+    pub fn register(initial: Value, spec: ValueSpec) -> ShardedAbdServerOn<OneSlot> {
+        ShardedAbdServerOn::with_backend(initial, spec, OneSlot::new(initial))
     }
 }
 
@@ -477,7 +230,7 @@ impl<B: AbdBackend> ShardedAbdServerOn<B> {
 
 impl<P, B> Node<P> for ShardedAbdServerOn<B>
 where
-    P: Protocol<Msg = ShardedAbdMsg, Inv = MultiInv, Resp = MultiResp>,
+    P: Protocol<Msg = ShardedAbdMsg>,
     B: AbdBackend + Clone + std::fmt::Debug,
 {
     fn on_message(&mut self, from: NodeId, msg: ShardedAbdMsg, ctx: &mut Ctx<P>) {
@@ -493,22 +246,23 @@ where
                 ctx.send(from, ShardedAbdMsg::QueryResp { rid, items });
             }
             ShardedAbdMsg::Store { rid, items } => {
-                for (key, tag, value) in items {
+                for &(key, tag, value) in items.iter() {
                     self.backend.store_if_newer(key, tag, value);
                 }
                 ctx.send(from, ShardedAbdMsg::StoreAck { rid });
             }
-            ShardedAbdMsg::QueryResp { .. } | ShardedAbdMsg::StoreAck { .. } => {}
+            ShardedAbdMsg::QueryResp { .. } | ShardedAbdMsg::StoreAck { .. } => {
+                // Servers never receive responses; tolerate and ignore.
+            }
         }
     }
 
     fn state_bits(&self) -> f64 {
-        // One domain value per materialized key.
-        self.backend.keys_held() as f64 * self.spec.bits
+        self.backend.state_bits(self.spec.bits)
     }
 
     fn metadata_bits(&self) -> f64 {
-        self.backend.keys_held() as f64 * (Tag::BITS + 64.0) // tag + key name
+        self.backend.metadata_bits()
     }
 
     fn digest(&self) -> u64 {
@@ -516,197 +270,366 @@ where
     }
 }
 
-/// Which phase a sharded ABD client is in. Both phases run as *lockstep
+/// Which ABD client an automaton runs.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Variant {
+    /// Multi-writer ABD: every operation queries, then stores (a write) or
+    /// writes back (a read).
+    Mwmr,
+    /// Single-writer ABD: client 0 owns the tag sequence, so its writes
+    /// skip the query phase.
+    SingleWriter,
+    /// ABD whose reads return straight after the query phase — the
+    /// deliberately broken client.
+    NoWriteBack,
+}
+
+/// Which phase an ABD client is in. Both phases run as *lockstep
 /// barriers*: phase 2 starts only when every key of the batch has reached
 /// its shard majority, so each phase costs exactly one message per
 /// (client, server) pair regardless of batch size.
-#[derive(Clone, Debug)]
-enum ShardedPhase {
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Phase {
     Idle,
-    Query {
-        op: MultiInv,
-        /// Servers whose reply was already counted (dedup under
-        /// duplication faults).
-        heard: BTreeSet<u32>,
-        /// Per key: responses counted, highest tag, its value.
-        acc: BTreeMap<Key, (u32, Tag, Value)>,
-    },
-    Store {
-        reply: MultiResp,
-        heard: BTreeSet<u32>,
-        /// Per key: store-acks counted.
-        acks: BTreeMap<Key, u32>,
-    },
+    Query,
+    Store,
 }
 
-/// A sharded ABD client: batched writer/reader over a [`ShardMap`].
+/// The ABD client: a batched writer/reader over a [`ShardMap`], for any
+/// protocol whose invocations and responses convert to and from a batch.
+///
+/// The per-phase state lives in buffers reused across operations, so a
+/// one-key operation allocates nothing in steady state.
 #[derive(Clone, Debug)]
 pub struct ShardedAbdClient {
     map: ShardMap,
     me: u32,
+    variant: Variant,
+    /// The single writer's sequence number (single-writer variant only).
+    seq: u64,
     rid: u64,
-    phase: ShardedPhase,
+    phase: Phase,
+    /// The open batch, in response order.
+    ops: Vec<(Key, RegInv)>,
+    /// Per batch entry: replies (query phase) or acks (store phase)
+    /// counted so far.
+    counts: Vec<u32>,
+    /// Servers counted in the current phase (dedup under duplication).
+    heard: Vec<u32>,
+    /// Query-phase replies `(server, key, tag, value)`, in arrival order.
+    replies: Vec<(u32, Key, Tag, Value)>,
+    /// The store round's versions.
+    stores: Vec<(Key, Tag, Value)>,
+    /// Per batch entry: the outcome, decided at the query barrier.
+    outcomes: Vec<(Key, RegResp)>,
 }
 
 impl ShardedAbdClient {
     /// A client for the given placement; `me` breaks tag ties.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless shard majorities are failure-minority quorums
-    /// (`replicas >= 1`; the caller picks `replicas > 2f`).
     pub fn new(map: ShardMap, me: u32) -> ShardedAbdClient {
+        ShardedAbdClient::with_variant(map, me, Variant::Mwmr)
+    }
+
+    /// A single-register client for an `n`-server cluster.
+    pub fn register(n: u32, me: u32) -> ShardedAbdClient {
+        ShardedAbdClient::new(ShardMap::full(n), me)
+    }
+
+    /// A single-writer single-register client: client 0 is the writer,
+    /// every other client a reader.
+    pub fn single_writer(n: u32, me: u32) -> ShardedAbdClient {
+        ShardedAbdClient::with_variant(ShardMap::full(n), me, Variant::SingleWriter)
+    }
+
+    /// A single-register client whose reads skip the write-back phase.
+    pub fn without_write_back(n: u32, me: u32) -> ShardedAbdClient {
+        ShardedAbdClient::with_variant(ShardMap::full(n), me, Variant::NoWriteBack)
+    }
+
+    fn with_variant(map: ShardMap, me: u32, variant: Variant) -> ShardedAbdClient {
+        // Sized for a one-key batch answered by every server, so such an
+        // operation never grows them.
+        let n = map.n() as usize;
         ShardedAbdClient {
             map,
             me,
+            variant,
+            seq: 0,
             rid: 0,
-            phase: ShardedPhase::Idle,
+            phase: Phase::Idle,
+            ops: Vec::with_capacity(1),
+            counts: Vec::with_capacity(1),
+            heard: Vec::with_capacity(n),
+            replies: Vec::with_capacity(n),
+            stores: Vec::with_capacity(1),
+            outcomes: Vec::with_capacity(1),
         }
     }
 
-    /// One coalesced round: for each server (in canonical 0..n order) the
-    /// batch keys it covers, skipping servers with none.
-    fn per_server_keys(&self, op: &MultiInv) -> Vec<(u32, Vec<Key>)> {
-        let mut out: Vec<(u32, Vec<Key>)> = Vec::new();
+    fn start_query<P: Protocol<Msg = ShardedAbdMsg>>(&mut self, ctx: &mut Ctx<P>) {
+        self.rid += 1;
+        self.phase = Phase::Query;
+        self.heard.clear();
+        self.replies.clear();
+        self.counts.clear();
+        self.counts.resize(self.ops.len(), 0);
+        let keys = self.ops.iter().map(|&(k, _)| k);
+        let query = |rid, keys| ShardedAbdMsg::Query { rid, keys };
+        self.send_round(keys, |&k| k, query, ctx);
+    }
+
+    /// Sends one round under the current nonce: each server, in canonical
+    /// order, gets the message `make` builds from the entries whose keys it
+    /// covers, and nothing if it covers none.
+    fn send_round<P, T, I>(
+        &self,
+        entries: I,
+        key: impl Fn(&T) -> Key,
+        make: impl Fn(u64, Items<T>) -> ShardedAbdMsg,
+        ctx: &mut Ctx<P>,
+    ) where
+        P: Protocol<Msg = ShardedAbdMsg>,
+        I: Iterator<Item = T> + Clone,
+    {
         for server in 0..self.map.n() {
-            let keys: Vec<Key> = op.keys().filter(|&k| self.map.covers(server, k)).collect();
-            if !keys.is_empty() {
-                out.push((server, keys));
+            let items: Items<T> = entries
+                .clone()
+                .filter(|e| self.map.covers(server, key(e)))
+                .collect();
+            if !items.is_empty() {
+                ctx.send(NodeId::server(server), make(self.rid, items));
             }
         }
-        out
+    }
+
+    /// Counts `server`'s reply; at the barrier, decides. Returns whether
+    /// the operation completed.
+    fn on_reply<P>(&mut self, server: u32, items: &[(Key, Tag, Value)], ctx: &mut Ctx<P>) -> bool
+    where
+        P: Protocol<Msg = ShardedAbdMsg>,
+    {
+        if self.heard.contains(&server) {
+            // A duplicated query, answered twice. ABD counts a server's
+            // first reply; the single-writer and write-back-less clients
+            // keep its latest. Either is a read of the server within the
+            // phase.
+            if self.variant != Variant::Mwmr {
+                for &(key, tag, value) in items {
+                    let entry = self
+                        .replies
+                        .iter_mut()
+                        .find(|r| (r.0, r.1) == (server, key));
+                    if let Some(r) = entry {
+                        (r.2, r.3) = (tag, value);
+                    }
+                }
+            }
+            return false;
+        }
+        self.heard.push(server);
+        for &(key, tag, value) in items {
+            if let Some(i) = self.ops.iter().position(|&(k, _)| k == key) {
+                self.counts[i] += 1;
+                self.replies.push((server, key, tag, value));
+            }
+        }
+        let majority = self.map.majority();
+        self.counts.iter().all(|&c| c >= majority) && self.decide(ctx)
+    }
+
+    /// The query barrier: every key has its shard majority. Decides each
+    /// key's outcome and the versions to store, then sends the store round
+    /// — unless nothing needs storing. Returns whether the operation
+    /// completed.
+    fn decide<P: Protocol<Msg = ShardedAbdMsg>>(&mut self, ctx: &mut Ctx<P>) -> bool {
+        let majority = self.map.majority();
+        self.stores.clear();
+        self.outcomes.clear();
+        self.counts.clear();
+        for &(key, inv) in &self.ops {
+            // The highest tag heard, the latest reply winning ties.
+            let (tag, value) =
+                self.replies
+                    .iter()
+                    .filter(|r| r.1 == key)
+                    .fold((Tag::ZERO, 0), |best, r| {
+                        if r.2 >= best.0 {
+                            (r.2, r.3)
+                        } else {
+                            best
+                        }
+                    });
+            let before = self.stores.len();
+            let outcome = match inv {
+                RegInv::Write(v) => {
+                    let tag = match self.variant {
+                        Variant::SingleWriter => Tag::new(self.seq, 0),
+                        Variant::Mwmr | Variant::NoWriteBack => tag.successor(self.me),
+                    };
+                    self.stores.push((key, tag, v));
+                    RegResp::WriteAck
+                }
+                RegInv::Read => {
+                    if self.variant != Variant::NoWriteBack {
+                        self.stores.push((key, tag, value));
+                    }
+                    RegResp::ReadValue(value)
+                }
+            };
+            // A key with nothing to store needs no acks.
+            let stored = self.stores.len() > before;
+            self.counts.push(if stored { 0 } else { majority });
+            self.outcomes.push((key, outcome));
+        }
+        if self.stores.is_empty() {
+            return true;
+        }
+        self.rid += 1;
+        self.phase = Phase::Store;
+        self.heard.clear();
+        let store = |rid, items| ShardedAbdMsg::Store { rid, items };
+        self.send_round(self.stores.iter().copied(), |e| e.0, store, ctx);
+        false
+    }
+
+    /// Counts `server`'s ack. Returns whether the operation completed.
+    fn on_ack(&mut self, server: u32) -> bool {
+        if self.heard.contains(&server) {
+            return false; // duplicated ack
+        }
+        self.heard.push(server);
+        for (i, &(key, _)) in self.ops.iter().enumerate() {
+            if self.map.covers(server, key) {
+                self.counts[i] += 1;
+            }
+        }
+        let majority = self.map.majority();
+        self.counts.iter().all(|&c| c >= majority)
+    }
+
+    /// The digest of ABD's client state. The reply and ack sets are
+    /// semantically unordered (behaviour depends only on membership), so
+    /// they are canonicalized by server — arrival order must not
+    /// distinguish digests. A one-key batch at key 0 *is* a register
+    /// client's state and digests without keys; any other batch also
+    /// hashes its keys.
+    fn abd_digest(&self) -> u64 {
+        let mut replies: Vec<(u32, Key, Tag, Value)> = Vec::new();
+        let mut acks: Vec<u32> = Vec::new();
+        let (phase, op, outcome) = match self.phase {
+            Phase::Idle => (0u8, None, None),
+            Phase::Query => {
+                replies.clone_from(&self.replies);
+                replies.sort_unstable_by_key(|&(s, k, _, _)| (s, k));
+                (1, Some(self.ops[0].1), None)
+            }
+            Phase::Store => {
+                acks.clone_from(&self.heard);
+                acks.sort_unstable();
+                (2, None, Some(self.outcomes[0].1))
+            }
+        };
+        let register: Vec<(u32, Tag, Value)> = replies.iter().map(|r| (r.0, r.2, r.3)).collect();
+        let text = format!("{op:?}{outcome:?}");
+        let digest = hash_of(&(self.me, self.rid, phase, text, (register, acks)));
+        if self.phase == Phase::Idle || matches!(self.ops[..], [(0, _)]) {
+            return digest;
+        }
+        let keys: Vec<Key> = replies.iter().map(|r| r.1).collect();
+        hash_of(&(digest, format!("{:?}{:?}", self.ops, self.outcomes), keys))
+    }
+
+    /// The write-back-less client's digest: its phase as it prints, with
+    /// the replies keyed by server.
+    fn no_write_back_digest(&self) -> u64 {
+        #[derive(Debug)]
+        #[allow(dead_code)] // read through `Debug`
+        enum View {
+            Idle,
+            Query {
+                op: RegInv,
+                responses: BTreeMap<u32, (Tag, Value)>,
+            },
+            Store {
+                acks: BTreeSet<u32>,
+            },
+        }
+        let (phase, view) = match self.phase {
+            Phase::Idle => (0u8, View::Idle),
+            Phase::Query => {
+                let responses = self.replies.iter().map(|r| (r.0, (r.2, r.3))).collect();
+                let op = self.ops[0].1;
+                (1, View::Query { op, responses })
+            }
+            Phase::Store => {
+                let acks = self.heard.iter().copied().collect();
+                (2, View::Store { acks })
+            }
+        };
+        hash_of(&(self.me, self.rid, phase, format!("{view:?}")))
     }
 }
 
 impl<P> Node<P> for ShardedAbdClient
 where
-    P: Protocol<Msg = ShardedAbdMsg, Inv = MultiInv, Resp = MultiResp>,
+    P: Protocol<Msg = ShardedAbdMsg>,
+    P::Inv: IntoBatch,
+    P::Resp: FromBatch,
 {
-    fn on_invoke(&mut self, inv: MultiInv, ctx: &mut Ctx<P>) {
+    fn on_invoke(&mut self, inv: P::Inv, ctx: &mut Ctx<P>) {
         assert!(
-            matches!(self.phase, ShardedPhase::Idle),
+            self.phase == Phase::Idle,
             "client invoked while an operation is in flight"
         );
-        inv.assert_well_formed();
-        self.rid += 1;
-        let acc = inv.keys().map(|k| (k, (0, Tag::ZERO, 0))).collect();
-        for (server, keys) in self.per_server_keys(&inv) {
-            ctx.send(
-                NodeId::server(server),
-                ShardedAbdMsg::Query {
-                    rid: self.rid,
-                    keys,
-                },
+        self.ops.clear();
+        inv.into_batch(&mut self.ops);
+        assert_well_formed(&self.ops);
+        let writes = self
+            .ops
+            .iter()
+            .filter(|(_, op)| *op != RegInv::Read)
+            .count();
+        if self.variant == Variant::SingleWriter && writes > 0 {
+            assert_eq!(
+                self.me, 0,
+                "single-writer register: only client 0 may write"
             );
+            self.seq += 1;
+            if writes == self.ops.len() {
+                // The writer owns the tag sequence: one phase, no query.
+                self.decide(ctx);
+                return;
+            }
         }
-        self.phase = ShardedPhase::Query {
-            op: inv,
-            heard: BTreeSet::new(),
-            acc,
-        };
+        self.start_query(ctx);
     }
 
     fn on_message(&mut self, from: NodeId, msg: ShardedAbdMsg, ctx: &mut Ctx<P>) {
-        let server = match from.as_server() {
-            Some(s) => s.0,
-            None => return,
+        let Some(server) = from.as_server() else {
+            return; // clients only talk to servers
         };
-        let majority = self.map.majority();
-        match (&mut self.phase, msg) {
-            (ShardedPhase::Query { heard, acc, .. }, ShardedAbdMsg::QueryResp { rid, items })
-                if rid == self.rid =>
-            {
-                if !heard.insert(server) {
-                    return; // duplicated delivery of a server's reply
-                }
-                for (key, tag, value) in items {
-                    if let Some(e) = acc.get_mut(&key) {
-                        e.0 += 1;
-                        // `>=` so the seeded (ZERO, 0) placeholder is
-                        // overwritten by a genuine ZERO-tagged initial.
-                        if tag >= e.1 {
-                            e.1 = tag;
-                            e.2 = value;
-                        }
-                    }
-                }
-                if acc.values().all(|&(count, _, _)| count >= majority) {
-                    // Barrier reached: every key has its shard majority.
-                    let ShardedPhase::Query { op, acc, .. } =
-                        std::mem::replace(&mut self.phase, ShardedPhase::Idle)
-                    else {
-                        unreachable!("matched Query above");
-                    };
-                    let mut decided: Vec<(Key, Tag, Value)> = Vec::with_capacity(op.ops.len());
-                    let mut reply = MultiResp {
-                        ops: Vec::with_capacity(op.ops.len()),
-                    };
-                    for &(key, inv) in &op.ops {
-                        let (_, max_tag, max_value) = acc[&key];
-                        let (tag, value, resp) = match inv {
-                            RegInv::Write(v) => (max_tag.successor(self.me), v, RegResp::WriteAck),
-                            RegInv::Read => (max_tag, max_value, RegResp::ReadValue(max_value)),
-                        };
-                        decided.push((key, tag, value));
-                        reply.ops.push((key, resp));
-                    }
-                    self.rid += 1;
-                    for (server, keys) in self.per_server_keys(&op) {
-                        let items = decided
-                            .iter()
-                            .filter(|&&(k, _, _)| keys.contains(&k))
-                            .copied()
-                            .collect();
-                        ctx.send(
-                            NodeId::server(server),
-                            ShardedAbdMsg::Store {
-                                rid: self.rid,
-                                items,
-                            },
-                        );
-                    }
-                    self.phase = ShardedPhase::Store {
-                        reply,
-                        heard: BTreeSet::new(),
-                        acks: op.keys().map(|k| (k, 0)).collect(),
-                    };
-                }
+        let done = match (self.phase, msg) {
+            (Phase::Query, ShardedAbdMsg::QueryResp { rid, items }) if rid == self.rid => {
+                self.on_reply(server.0, &items, ctx)
             }
-            (ShardedPhase::Store { heard, acks, .. }, ShardedAbdMsg::StoreAck { rid })
-                if rid == self.rid =>
-            {
-                if !heard.insert(server) {
-                    return; // duplicated ack
-                }
-                let map = self.map;
-                for (&key, count) in acks.iter_mut() {
-                    if map.covers(server, key) {
-                        *count += 1;
-                    }
-                }
-                if acks.values().all(|&count| count >= majority) {
-                    let ShardedPhase::Store { reply, .. } =
-                        std::mem::replace(&mut self.phase, ShardedPhase::Idle)
-                    else {
-                        unreachable!("matched Store above");
-                    };
-                    self.rid += 1;
-                    ctx.respond(reply);
-                }
+            (Phase::Store, ShardedAbdMsg::StoreAck { rid }) if rid == self.rid => {
+                self.on_ack(server.0)
             }
-            _ => {} // stale or out-of-phase message
+            _ => false, // stale or out-of-phase message
+        };
+        if done {
+            self.phase = Phase::Idle;
+            self.rid += 1;
+            ctx.respond(P::Resp::from_batch(&self.outcomes));
         }
     }
 
     fn digest(&self) -> u64 {
-        let phase_tag = match &self.phase {
-            ShardedPhase::Idle => 0u8,
-            ShardedPhase::Query { .. } => 1,
-            ShardedPhase::Store { .. } => 2,
-        };
-        // BTreeMap/BTreeSet debug-print in canonical key order, so arrival
-        // order cannot distinguish digests.
-        hash_of(&(self.me, self.rid, phase_tag, format!("{:?}", self.phase)))
+        match self.variant {
+            Variant::Mwmr => self.abd_digest(),
+            Variant::SingleWriter => hash_of(&(self.seq, self.abd_digest())),
+            Variant::NoWriteBack => self.no_write_back_digest(),
+        }
     }
 }
 
@@ -719,8 +642,12 @@ mod tests {
         let spec = ValueSpec::from_bits(64.0);
         Sim::new(
             SimConfig::without_gossip(),
-            (0..n).map(|_| AbdServer::new(0, spec)).collect(),
-            (0..clients).map(|c| AbdClient::new(n, c)).collect(),
+            (0..n)
+                .map(|_| ShardedAbdServerOn::register(0, spec))
+                .collect(),
+            (0..clients)
+                .map(|c| ShardedAbdClient::register(n, c))
+                .collect(),
         )
     }
 
@@ -777,9 +704,9 @@ mod tests {
             sim.invoke(ClientId(0), RegInv::Write(v)).unwrap();
             sim.run_until_op_completes(ClientId(0)).unwrap();
         }
-        let t = sim.server(ServerId(0)).tag();
+        let (t, v) = sim.server(ServerId(0)).entry(0);
         assert_eq!(t.seq, 4);
-        assert_eq!(sim.server(ServerId(0)).value(), 4);
+        assert_eq!(v, 4);
     }
 
     #[test]
@@ -930,19 +857,19 @@ mod tests {
     fn sharded_wire_bytes_scale_with_batch() {
         let q1 = ShardedAbdMsg::Query {
             rid: 1,
-            keys: vec![1],
+            keys: vec![1].into(),
         }
         .wire_bytes();
         let q4 = ShardedAbdMsg::Query {
             rid: 1,
-            keys: vec![1, 2, 3, 4],
+            keys: vec![1, 2, 3, 4].into(),
         }
         .wire_bytes();
         assert_eq!(q1, 16);
         assert_eq!(q4, 40);
         let s = ShardedAbdMsg::Store {
             rid: 1,
-            items: vec![(1, Tag::new(1, 0), 7), (2, Tag::new(1, 0), 8)],
+            items: vec![(1, Tag::new(1, 0), 7), (2, Tag::new(1, 0), 8)].into(),
         };
         assert_eq!(s.wire_bytes(), 8 + 2 * 28);
         assert_eq!(ShardedAbdMsg::StoreAck { rid: 1 }.wire_bytes(), 8);

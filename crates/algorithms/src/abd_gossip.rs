@@ -9,7 +9,8 @@
 //! critical-pair argument must account for the extra channel state
 //! (Lemma 5.8(c)).
 
-use crate::abd::{AbdClient, AbdMsg};
+use crate::abd::{ShardedAbdClient, ShardedAbdMsg, ShardedAbdServerOn};
+use crate::backend::{AbdBackend, OneSlot};
 use crate::reg::{RegInv, RegResp};
 use crate::tag::Tag;
 use crate::value::{Value, ValueSpec};
@@ -19,26 +20,30 @@ use shmem_sim::{hash_of, Ctx, Node, NodeId, Protocol};
 pub struct AbdGossip;
 
 impl Protocol for AbdGossip {
-    type Msg = AbdMsg;
+    type Msg = ShardedAbdMsg;
     type Inv = RegInv;
     type Resp = RegResp;
     type Server = GossipServer;
-    type Client = AbdClient;
+    type Client = ShardedAbdClient;
+
+    fn msg_wire_bytes(msg: &ShardedAbdMsg) -> u64 {
+        msg.wire_bytes()
+    }
 }
 
-/// An ABD server that forwards every newly adopted `(tag, value)` to all
-/// other servers (as a `Store` with a gossip nonce). Gossip is adopted
-/// like any store but never re-forwarded for the same tag (each server
-/// forwards a given tag at most once), so gossip cascades terminate.
+/// An ABD register server that forwards every newly seen `(tag, value)`
+/// to all other servers (as a `Store` with a gossip nonce). Gossip is
+/// adopted like any store but never re-forwarded for the same tag (each
+/// server forwards a given tag at most once), so gossip cascades
+/// terminate.
 #[derive(Clone, Debug)]
 pub struct GossipServer {
     me: u32,
     n: u32,
-    tag: Tag,
-    value: Value,
+    /// The ABD register server this one extends.
+    register: ShardedAbdServerOn<OneSlot>,
     /// Highest tag this server has already forwarded.
     forwarded: Tag,
-    spec: ValueSpec,
 }
 
 /// Nonce used on server-to-server stores (clients use per-op nonces
@@ -51,79 +56,58 @@ impl GossipServer {
         GossipServer {
             me,
             n,
-            tag: Tag::ZERO,
-            value: initial,
+            register: ShardedAbdServerOn::register(initial, spec),
             forwarded: Tag::ZERO,
-            spec,
         }
     }
 
-    /// The currently stored tag.
-    pub fn tag(&self) -> Tag {
-        self.tag
-    }
-
-    /// The currently stored value.
-    pub fn value(&self) -> Value {
-        self.value
-    }
-
-    fn adopt_and_gossip(&mut self, tag: Tag, value: Value, ctx: &mut Ctx<AbdGossip>) {
-        if tag > self.tag {
-            self.tag = tag;
-            self.value = value;
-        }
-        if tag > self.forwarded {
-            self.forwarded = tag;
-            for peer in 0..self.n {
-                if peer != self.me {
-                    ctx.send(
-                        NodeId::server(peer),
-                        AbdMsg::Store {
-                            rid: GOSSIP_RID,
-                            tag,
-                            value,
-                        },
-                    );
-                }
-            }
-        }
+    /// The currently stored `(tag, value)`.
+    pub fn entry(&self) -> (Tag, Value) {
+        self.register.entry(0)
     }
 }
 
 impl Node<AbdGossip> for GossipServer {
-    fn on_message(&mut self, from: NodeId, msg: AbdMsg, ctx: &mut Ctx<AbdGossip>) {
-        match msg {
-            AbdMsg::Query { rid } => ctx.send(
-                from,
-                AbdMsg::QueryResp {
-                    rid,
-                    tag: self.tag,
-                    value: self.value,
-                },
-            ),
-            AbdMsg::Store { rid, tag, value } => {
-                self.adopt_and_gossip(tag, value, ctx);
-                // Acks go only to clients; server-to-server stores are
-                // fire-and-forget gossip.
-                if from.is_client() {
-                    ctx.send(from, AbdMsg::StoreAck { rid });
+    fn on_message(&mut self, from: NodeId, msg: ShardedAbdMsg, ctx: &mut Ctx<AbdGossip>) {
+        if let ShardedAbdMsg::Store { items, .. } = &msg {
+            for &item in items.iter() {
+                if item.1 > self.forwarded {
+                    self.forwarded = item.1;
+                    for peer in (0..self.n).filter(|&p| p != self.me) {
+                        let items = std::iter::once(item).collect();
+                        let gossip = ShardedAbdMsg::Store {
+                            rid: GOSSIP_RID,
+                            items,
+                        };
+                        ctx.send(NodeId::server(peer), gossip);
+                    }
                 }
             }
-            AbdMsg::QueryResp { .. } | AbdMsg::StoreAck { .. } => {}
+            if from.is_server() {
+                // Server-to-server stores are fire-and-forget gossip:
+                // adopted, never acknowledged.
+                for &(key, tag, value) in items.iter() {
+                    self.register.backend_mut().store_if_newer(key, tag, value);
+                }
+                return;
+            }
         }
+        // Queries, and client stores (adopted and acknowledged), are plain
+        // ABD.
+        self.register.on_message(from, msg, ctx);
     }
 
     fn state_bits(&self) -> f64 {
-        self.spec.bits
+        Node::<AbdGossip>::state_bits(&self.register)
     }
 
     fn metadata_bits(&self) -> f64 {
-        2.0 * Tag::BITS // stored tag + forwarded watermark
+        // Stored tag + forwarded watermark.
+        Node::<AbdGossip>::metadata_bits(&self.register) + Tag::BITS
     }
 
     fn digest(&self) -> u64 {
-        hash_of(&(self.tag, self.value, self.forwarded))
+        hash_of(&(self.entry(), self.forwarded))
     }
 }
 
@@ -137,7 +121,9 @@ mod tests {
         Sim::new(
             SimConfig::with_gossip(),
             (0..n).map(|i| GossipServer::new(i, n, 0, spec)).collect(),
-            (0..clients).map(|c| AbdClient::new(n, c)).collect(),
+            (0..clients)
+                .map(|c| ShardedAbdClient::register(n, c))
+                .collect(),
         )
     }
 
@@ -170,7 +156,7 @@ mod tests {
         sim.freeze(NodeId::client(0));
         sim.flush_server_channels().unwrap();
         for s in 0..5 {
-            assert_eq!(sim.server(ServerId(s)).value(), 9, "server {s}");
+            assert_eq!(sim.server(ServerId(s)).entry().1, 9, "server {s}");
         }
     }
 

@@ -37,6 +37,18 @@ pub trait AbdBackend {
     /// Number of keys with materialized state.
     fn keys_held(&self) -> usize;
 
+    /// Value-bearing storage in bits, at `value_bits` per stored value:
+    /// one value per materialized key.
+    fn state_bits(&self, value_bits: f64) -> f64 {
+        self.keys_held() as f64 * value_bits
+    }
+
+    /// Metadata storage in bits: a tag and a 64-bit key name per
+    /// materialized key.
+    fn metadata_bits(&self) -> f64 {
+        self.keys_held() as f64 * (Tag::BITS + 64.0)
+    }
+
     /// Digest over `(initial, entries)` — must hash the same canonical
     /// shape as the legacy in-struct server.
     fn digest_with(&self, initial: Value) -> u64;
@@ -149,6 +161,66 @@ impl AbdBackend for LocalAbd {
 
     fn digest_with(&self, initial: Value) -> u64 {
         hash_of(&(initial, &self.entries))
+    }
+}
+
+/// The single-register ABD backend: one `(tag, value)` pair, which every
+/// key names (the single-register protocols address it as key 0).
+///
+/// Unlike [`LocalAbd`] the slot exists from the start, at
+/// `(Tag::ZERO, initial)`: it always counts as one held key, stores no key
+/// name, digests as the bare pair, and can always be corrupted.
+#[derive(Clone, Debug)]
+pub struct OneSlot {
+    tag: Tag,
+    value: Value,
+}
+
+impl OneSlot {
+    /// A register holding `initial` under [`Tag::ZERO`].
+    pub fn new(initial: Value) -> OneSlot {
+        OneSlot {
+            tag: Tag::ZERO,
+            value: initial,
+        }
+    }
+
+    /// Corruption-adversary entry point: fabricate the stored pair —
+    /// tamper the value and forge a higher tag (writer
+    /// [`crate::corrupt::FORGED_WRITER`]) so the fabrication wins the
+    /// reader's max-tag fold. Replication holds exactly one version, so
+    /// all modes collapse to this one attack, and it always applies.
+    pub fn corrupt(&mut self, _mode: u8, salt: u64) -> bool {
+        self.tag = self.tag.successor(crate::corrupt::FORGED_WRITER);
+        self.value = shmem_util::tamper_value(self.value, salt, 0);
+        true
+    }
+}
+
+impl AbdBackend for OneSlot {
+    fn load(&self, _key: Key) -> Option<(Tag, Value)> {
+        Some((self.tag, self.value))
+    }
+
+    fn store_if_newer(&mut self, _key: Key, tag: Tag, value: Value) -> bool {
+        let newer = tag > self.tag;
+        if newer {
+            self.tag = tag;
+            self.value = value;
+        }
+        newer
+    }
+
+    fn keys_held(&self) -> usize {
+        1
+    }
+
+    fn metadata_bits(&self) -> f64 {
+        Tag::BITS
+    }
+
+    fn digest_with(&self, _initial: Value) -> u64 {
+        hash_of(&(self.tag, self.value))
     }
 }
 

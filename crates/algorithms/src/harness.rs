@@ -1,7 +1,8 @@
 //! Cluster harnesses: build worlds, drive workloads, extract histories.
 
-use crate::abd::{Abd, AbdClient, AbdServer, ShardedAbd, ShardedAbdClient, ShardedAbdServer};
+use crate::abd::{Abd, ShardedAbd, ShardedAbdClient, ShardedAbdServer, ShardedAbdServerOn};
 use crate::abd_gossip::{AbdGossip, GossipServer};
+use crate::backend::OneSlot;
 use crate::cas::{
     Cas, CasClient, CasConfig, CasServer, ShardedCas, ShardedCasClient, ShardedCasConfig,
     ShardedCasServer,
@@ -9,9 +10,9 @@ use crate::cas::{
 use crate::hashed::{
     HashedCas, HashedClient, HashedServer, ShardedHashed, ShardedHashedClient, ShardedHashedServer,
 };
-use crate::lossy::{Lossy, LossyServer};
+use crate::lossy::{lossy_server, Lossy};
 use crate::multikey::{project_histories, Key, MultiInv, MultiResp, ShardMap};
-use crate::nowriteback::{NoWriteBack, NwbClient};
+use crate::nowriteback::NoWriteBack;
 use crate::reg::{RegInv, RegResp};
 use crate::value::{Value, ValueSpec};
 use shmem_erasure::{Codec, Gf256};
@@ -94,6 +95,22 @@ pub type NwbCluster = Cluster<NoWriteBack>;
 pub type HashedCluster = Cluster<HashedCas>;
 
 impl<P: Protocol<Inv = RegInv, Resp = RegResp>> Cluster<P> {
+    /// A replication cluster (no erasure code) over the given nodes.
+    fn replicated(
+        config: SimConfig,
+        servers: Vec<P::Server>,
+        clients: Vec<P::Client>,
+        initial: Value,
+        f: u32,
+    ) -> Cluster<P> {
+        Cluster {
+            sim: Sim::new(config, servers, clients),
+            initial,
+            f,
+            codec_geometries: Vec::new(),
+        }
+    }
+
     /// The failure budget the cluster was built for.
     pub fn f(&self) -> u32 {
         self.f
@@ -279,16 +296,14 @@ impl AbdCluster {
     /// Panics unless `2f < n`.
     pub fn reordering(n: u32, f: u32, clients: u32, spec: ValueSpec) -> AbdCluster {
         assert!(2 * f < n, "ABD requires a failure minority (2f < N)");
-        Cluster {
-            sim: Sim::new(
-                SimConfig::without_gossip().reordering(),
-                (0..n).map(|_| AbdServer::new(0, spec)).collect(),
-                (0..clients).map(|c| AbdClient::new(n, c)).collect(),
-            ),
-            initial: 0,
+        let config = SimConfig::without_gossip().reordering();
+        Cluster::replicated(
+            config,
+            abd_servers(n, 0, spec),
+            abd_clients(n, clients),
+            0,
             f,
-            codec_geometries: Vec::new(),
-        }
+        )
     }
 
     /// Same, with an explicit initial register value.
@@ -304,17 +319,29 @@ impl AbdCluster {
         initial: Value,
     ) -> AbdCluster {
         assert!(2 * f < n, "ABD requires a failure minority (2f < N)");
-        Cluster {
-            sim: Sim::new(
-                SimConfig::without_gossip(),
-                (0..n).map(|_| AbdServer::new(initial, spec)).collect(),
-                (0..clients).map(|c| AbdClient::new(n, c)).collect(),
-            ),
+        let servers = abd_servers(n, initial, spec);
+        Cluster::replicated(
+            SimConfig::without_gossip(),
+            servers,
+            abd_clients(n, clients),
             initial,
             f,
-            codec_geometries: Vec::new(),
-        }
+        )
     }
+}
+
+/// `n` single-register ABD servers starting at `initial`.
+fn abd_servers(n: u32, initial: Value, spec: ValueSpec) -> Vec<ShardedAbdServerOn<OneSlot>> {
+    (0..n)
+        .map(|_| ShardedAbdServerOn::register(initial, spec))
+        .collect()
+}
+
+/// `clients` single-register ABD clients of an `n`-server cluster.
+fn abd_clients(n: u32, clients: u32) -> Vec<ShardedAbdClient> {
+    (0..clients)
+        .map(|c| ShardedAbdClient::register(n, c))
+        .collect()
 }
 
 impl CasCluster {
@@ -387,38 +414,23 @@ impl GossipCluster {
     /// Panics unless `2f < n`.
     pub fn new(n: u32, f: u32, clients: u32, spec: ValueSpec) -> GossipCluster {
         assert!(2 * f < n, "ABD requires a failure minority (2f < N)");
-        Cluster {
-            sim: Sim::new(
-                SimConfig::with_gossip(),
-                (0..n).map(|i| GossipServer::new(i, n, 0, spec)).collect(),
-                (0..clients).map(|c| AbdClient::new(n, c)).collect(),
-            ),
-            initial: 0,
+        let servers = (0..n).map(|i| GossipServer::new(i, n, 0, spec)).collect();
+        Cluster::replicated(
+            SimConfig::with_gossip(),
+            servers,
+            abd_clients(n, clients),
+            0,
             f,
-            codec_geometries: Vec::new(),
-        }
+        )
     }
 }
 
 impl LossyCluster {
     /// The broken cheap cluster: servers keep only `kept_bits` per value.
     pub fn new(n: u32, f: u32, clients: u32, kept_bits: u32, spec: ValueSpec) -> LossyCluster {
-        Cluster {
-            sim: Sim::new(
-                SimConfig::without_gossip(),
-                (0..n)
-                    .map(|_| LossyServer::new(0, kept_bits, spec))
-                    .collect(),
-                (0..clients).map(|c| AbdClient::new(n, c)).collect(),
-            ),
-            initial: 0,
-            f,
-            codec_geometries: Vec::new(),
-        }
+        Self::with_bit_rot(n, f, clients, n, kept_bits, spec)
     }
-}
 
-impl LossyCluster {
     /// The *subtly* broken cheap cluster: only the first `rotten` servers
     /// truncate to `kept_bits`; the rest keep (effectively) everything.
     ///
@@ -435,20 +447,18 @@ impl LossyCluster {
         kept_bits: u32,
         spec: ValueSpec,
     ) -> LossyCluster {
-        Cluster {
-            sim: Sim::new(
-                SimConfig::without_gossip(),
-                (0..n)
-                    // 63 kept bits is lossless for every value the nemesis
-                    // driver writes; the server type stays uniform.
-                    .map(|i| LossyServer::new(0, if i < rotten { kept_bits } else { 63 }, spec))
-                    .collect(),
-                (0..clients).map(|c| AbdClient::new(n, c)).collect(),
-            ),
-            initial: 0,
+        let servers = (0..n)
+            // 63 kept bits is lossless for every value the nemesis driver
+            // writes; the server type stays uniform.
+            .map(|i| lossy_server(0, if i < rotten { kept_bits } else { 63 }, spec))
+            .collect();
+        Cluster::replicated(
+            SimConfig::without_gossip(),
+            servers,
+            abd_clients(n, clients),
+            0,
             f,
-            codec_geometries: Vec::new(),
-        }
+        )
     }
 }
 
@@ -462,16 +472,16 @@ impl NwbCluster {
     /// Panics unless `2f < n`.
     pub fn new(n: u32, f: u32, clients: u32, spec: ValueSpec) -> NwbCluster {
         assert!(2 * f < n, "ABD requires a failure minority (2f < N)");
-        Cluster {
-            sim: Sim::new(
-                SimConfig::without_gossip(),
-                (0..n).map(|_| AbdServer::new(0, spec)).collect(),
-                (0..clients).map(|c| NwbClient::new(n, c)).collect(),
-            ),
-            initial: 0,
+        let clients = (0..clients)
+            .map(|c| ShardedAbdClient::without_write_back(n, c))
+            .collect();
+        Cluster::replicated(
+            SimConfig::without_gossip(),
+            abd_servers(n, 0, spec),
+            clients,
+            0,
             f,
-            codec_geometries: Vec::new(),
-        }
+        )
     }
 }
 

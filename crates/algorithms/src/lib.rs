@@ -5,9 +5,12 @@
 //!
 //! * [`abd`] — the Attiya–Bar-Noy–Dolev replication algorithm \[3\]
 //!   (multi-writer multi-reader atomic register; every server stores one
-//!   `(tag, value)` pair). Its total storage is `Θ(N)·log2|V|`
-//!   (`(f+1)·log2|V|` on a minimal replica set), independent of write
-//!   concurrency.
+//!   `(tag, value)` pair per register). Its total storage is
+//!   `Θ(N)·log2|V|` (`(f+1)·log2|V|` on a minimal replica set),
+//!   independent of write concurrency. One keyed automaton serves both
+//!   the keyspace ([`abd::ShardedAbd`]) and the single register
+//!   ([`abd::Abd`], key 0 of [`ShardMap::full`]), and through it the
+//!   variants in [`abd_gossip`], [`swmr`], [`nowriteback`] and [`lossy`].
 //! * [`cas`] — Coded Atomic Storage \[5, 6\]: servers store Reed–Solomon
 //!   codeword symbols of `log2|V|/k` bits per version, `k ≤ N − 2f`; with
 //!   garbage collection ([`cas::CasConfig::gc_depth`], i.e. CASGC) at most
@@ -17,9 +20,15 @@
 //!   bounds and correspondingly violates regularity — the falsification
 //!   target for the proof machinery in `shmem-core`.
 //!
+//! CAS and hashed CAS ([`hashed`]) still keep a single-register automaton
+//! beside the keyed one: their readers differ on a garbage-collection race
+//! (see `DESIGN.md` §4.5).
+//!
 //! The register interface is uniform: [`reg::RegInv`] / [`reg::RegResp`]
-//! invocations carrying [`value::Value`]s, and [`harness`] builds clusters,
-//! drives workloads, and extracts [`shmem_spec`] histories.
+//! invocations carrying [`value::Value`]s — for the keyed automata, the
+//! one-key batch at key 0 ([`multikey::IntoBatch`]) — and [`harness`]
+//! builds clusters, drives workloads, and extracts [`shmem_spec`]
+//! histories.
 
 pub mod abd;
 pub mod abd_gossip;
@@ -38,7 +47,9 @@ pub mod tag;
 pub mod value;
 pub mod workloads;
 
-pub use backend::{AbdBackend, CasBackend, HashedBackend, LocalAbd, LocalCas, LocalHashed};
+pub use backend::{
+    AbdBackend, CasBackend, HashedBackend, LocalAbd, LocalCas, LocalHashed, OneSlot,
+};
 pub use harness::{AbdCluster, CasCluster, GossipCluster, HashedCluster, LossyCluster, NwbCluster};
 pub use harness::{ShardedAbdCluster, ShardedCasCluster, ShardedHashedCluster};
 pub use multikey::{project_histories, Key, MultiInv, MultiResp, ShardMap};

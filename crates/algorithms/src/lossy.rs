@@ -7,89 +7,90 @@
 //! falsification target the proof machinery in `shmem-core` is validated
 //! against (a checker that never flags anything proves nothing).
 
-use crate::abd::{AbdClient, AbdMsg};
+use crate::abd::{ShardedAbdClient, ShardedAbdMsg, ShardedAbdServerOn};
+use crate::backend::{AbdBackend, OneSlot};
+use crate::multikey::Key;
 use crate::reg::{RegInv, RegResp};
 use crate::tag::Tag;
 use crate::value::{Value, ValueSpec};
-use shmem_sim::{hash_of, Ctx, Node, NodeId, Protocol};
+use shmem_sim::Protocol;
 
-/// Protocol marker for the lossy strawman.
+/// Protocol marker for the lossy strawman: ABD over [`Masked`] servers.
 pub struct Lossy;
 
 impl Protocol for Lossy {
-    type Msg = AbdMsg;
+    type Msg = ShardedAbdMsg;
     type Inv = RegInv;
     type Resp = RegResp;
-    type Server = LossyServer;
-    type Client = AbdClient;
+    type Server = ShardedAbdServerOn<Masked>;
+    type Client = ShardedAbdClient;
+
+    fn msg_wire_bytes(msg: &ShardedAbdMsg) -> u64 {
+        msg.wire_bytes()
+    }
 }
 
-/// A server that keeps only the low `kept_bits` of every stored value.
+/// The cheat as an ABD backend: a [`OneSlot`] register that keeps only the
+/// low `kept_bits` of every stored value.
 #[derive(Clone, Debug)]
-pub struct LossyServer {
-    tag: Tag,
-    value: Value,
+pub struct Masked {
+    slot: OneSlot,
     kept_bits: u32,
-    spec: ValueSpec,
 }
 
-impl LossyServer {
-    /// A server keeping `kept_bits` bits per value (the cheat: honest
-    /// storage would need `spec.bits`).
+impl Masked {
+    /// A register keeping `kept_bits` bits per value (the cheat: honest
+    /// storage would need `log2|V|`).
     ///
     /// # Panics
     ///
     /// Panics if `kept_bits >= 64` (use the honest ABD server instead).
-    pub fn new(initial: Value, kept_bits: u32, spec: ValueSpec) -> LossyServer {
+    pub fn new(initial: Value, kept_bits: u32) -> Masked {
         assert!(kept_bits < 64, "lossy server must actually lose bits");
-        LossyServer {
-            tag: Tag::ZERO,
-            value: initial & Self::mask(kept_bits),
+        let mask = (1u64 << kept_bits) - 1;
+        Masked {
+            slot: OneSlot::new(initial & mask),
             kept_bits,
-            spec,
         }
-    }
-
-    fn mask(kept_bits: u32) -> u64 {
-        (1u64 << kept_bits) - 1
     }
 }
 
-impl Node<Lossy> for LossyServer {
-    fn on_message(&mut self, from: NodeId, msg: AbdMsg, ctx: &mut Ctx<Lossy>) {
-        match msg {
-            AbdMsg::Query { rid } => ctx.send(
-                from,
-                AbdMsg::QueryResp {
-                    rid,
-                    tag: self.tag,
-                    value: self.value,
-                },
-            ),
-            AbdMsg::Store { rid, tag, value } => {
-                if tag > self.tag {
-                    self.tag = tag;
-                    self.value = value & Self::mask(self.kept_bits); // the cheat
-                }
-                ctx.send(from, AbdMsg::StoreAck { rid });
-            }
-            AbdMsg::QueryResp { .. } | AbdMsg::StoreAck { .. } => {}
-        }
+impl AbdBackend for Masked {
+    fn load(&self, key: Key) -> Option<(Tag, Value)> {
+        self.slot.load(key)
     }
 
-    fn state_bits(&self) -> f64 {
+    fn store_if_newer(&mut self, key: Key, tag: Tag, value: Value) -> bool {
+        let mask = (1u64 << self.kept_bits) - 1;
+        self.slot.store_if_newer(key, tag, value & mask) // the cheat
+    }
+
+    fn keys_held(&self) -> usize {
+        self.slot.keys_held()
+    }
+
+    fn state_bits(&self, value_bits: f64) -> f64 {
         // Honest accounting of the dishonest storage: the server's
         // value-bearing state ranges over only 2^kept_bits states.
-        (self.kept_bits as f64).min(self.spec.bits)
+        f64::from(self.kept_bits).min(value_bits)
     }
 
     fn metadata_bits(&self) -> f64 {
-        Tag::BITS
+        self.slot.metadata_bits()
     }
 
-    fn digest(&self) -> u64 {
-        hash_of(&(self.tag, self.value))
+    fn digest_with(&self, initial: Value) -> u64 {
+        self.slot.digest_with(initial)
     }
+}
+
+/// A lossy server: the ABD register server over a [`Masked`] slot.
+///
+/// # Panics
+///
+/// Panics if `kept_bits >= 64`.
+pub fn lossy_server(initial: Value, kept_bits: u32, spec: ValueSpec) -> ShardedAbdServerOn<Masked> {
+    ShardedAbdServerOn::with_backend(initial, spec, Masked::new(initial, kept_bits))
 }
 
 #[cfg(test)]
@@ -101,10 +102,8 @@ mod tests {
         let spec = ValueSpec::from_bits(8.0);
         Sim::new(
             SimConfig::without_gossip(),
-            (0..n)
-                .map(|_| LossyServer::new(0, kept_bits, spec))
-                .collect(),
-            (0..2).map(|c| AbdClient::new(n, c)).collect(),
+            (0..n).map(|_| lossy_server(0, kept_bits, spec)).collect(),
+            (0..2).map(|c| ShardedAbdClient::register(n, c)).collect(),
         )
     }
 

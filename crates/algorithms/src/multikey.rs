@@ -25,6 +25,8 @@ use crate::value::Value;
 use shmem_sim::OpRecord;
 use shmem_spec::history::{History, OpKind};
 use std::collections::BTreeMap;
+use std::fmt;
+use std::ops::{Deref, DerefMut};
 
 /// A register name in the sharded keyspace.
 pub type Key = u64;
@@ -49,9 +51,10 @@ fn mix64(mut x: u64) -> u64 {
 /// Shard `s` lives on `replicas` consecutive servers starting at
 /// `(s · spread) mod n` with `spread = max(1, n / shards)`, so shards
 /// stripe around the ring and overlap only when `shards · replicas > n`.
-/// [`ShardMap::full`] (one shard on all servers) makes the batch-size-1
-/// sharded protocols step-isomorphic to their legacy single-register
-/// counterparts — the differential tests pin that.
+/// [`ShardMap::full`] (one shard on all servers) is the single-register
+/// placement: single-register ABD runs the keyed automaton on it at key 0,
+/// and the differential tests pin batch-size-1 CAS and hashed CAS
+/// step-isomorphic to their single-register automata.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ShardMap {
     n: u32,
@@ -78,7 +81,7 @@ impl ShardMap {
         }
     }
 
-    /// The degenerate map: one shard covering every server — the legacy
+    /// The degenerate map: one shard covering every server — the
     /// single-register placement.
     pub fn full(n: u32) -> ShardMap {
         ShardMap::new(n, 1, n)
@@ -145,6 +148,10 @@ impl ShardMap {
 
     /// Whether `server` stores `key`.
     pub fn covers(&self, server: u32, key: Key) -> bool {
+        if self.shards == 1 && server < self.n {
+            // The one shard starts at server 0: positions are server ids.
+            return server < self.replicas;
+        }
         self.position_for_key(server, key).is_some()
     }
 }
@@ -181,15 +188,18 @@ impl MultiInv {
 
     /// Panics unless the batch is well-formed: nonempty with distinct keys.
     pub fn assert_well_formed(&self) {
-        assert!(!self.ops.is_empty(), "empty batch");
-        let mut keys: Vec<Key> = self.keys().collect();
-        keys.sort_unstable();
-        keys.dedup();
-        assert_eq!(
-            keys.len(),
-            self.ops.len(),
-            "batch keys must be distinct: {:?}",
-            self.ops
+        assert_well_formed(&self.ops);
+    }
+}
+
+/// Panics unless `ops` is a well-formed batch: nonempty with distinct
+/// keys. Allocation-free: batches are small, so a pairwise scan is cheap.
+pub(crate) fn assert_well_formed(ops: &[(Key, RegInv)]) {
+    assert!(!ops.is_empty(), "empty batch");
+    for (i, &(key, _)) in ops.iter().enumerate() {
+        assert!(
+            ops[..i].iter().all(|&(k, _)| k != key),
+            "batch keys must be distinct: {ops:?}"
         );
     }
 }
@@ -206,6 +216,110 @@ impl MultiResp {
     /// The outcome for `key`, if the batch contained it.
     pub fn get(&self, key: Key) -> Option<&RegResp> {
         self.ops.iter().find(|&&(k, _)| k == key).map(|(_, r)| r)
+    }
+}
+
+/// An invocation a keyed automaton accepts: a batch of per-key register
+/// operations, unpacked into the automaton's reusable buffer.
+pub trait IntoBatch {
+    /// Appends the batch's `(key, op)` pairs, in response order, to `ops`.
+    fn into_batch(self, ops: &mut Vec<(Key, RegInv)>);
+}
+
+/// A response a keyed automaton produces from its per-key outcomes.
+pub trait FromBatch {
+    /// The response for `outcomes`, given in batch order.
+    fn from_batch(outcomes: &[(Key, RegResp)]) -> Self;
+}
+
+/// A single-register operation is the one-key batch at key 0.
+impl IntoBatch for RegInv {
+    fn into_batch(self, ops: &mut Vec<(Key, RegInv)>) {
+        ops.push((0, self));
+    }
+}
+
+impl FromBatch for RegResp {
+    fn from_batch(outcomes: &[(Key, RegResp)]) -> RegResp {
+        debug_assert_eq!(outcomes.len(), 1, "a register answers one key");
+        outcomes[0].1
+    }
+}
+
+impl IntoBatch for MultiInv {
+    fn into_batch(self, ops: &mut Vec<(Key, RegInv)>) {
+        ops.extend(self.ops);
+    }
+}
+
+impl FromBatch for MultiResp {
+    fn from_batch(outcomes: &[(Key, RegResp)]) -> MultiResp {
+        MultiResp {
+            ops: outcomes.to_vec(),
+        }
+    }
+}
+
+/// The per-key payload of one message: a list that holds a single entry
+/// inline, so a one-key round costs no heap allocation per message. It
+/// dereferences to a slice and prints, compares and serializes exactly
+/// like the `Vec` it replaces.
+#[derive(Clone, PartialEq)]
+pub struct Items<T>(Repr<T>);
+
+/// Canonical — `One` exactly when there is one entry — so the derived
+/// equality is list equality.
+#[derive(Clone, PartialEq)]
+enum Repr<T> {
+    One(T),
+    Many(Vec<T>),
+}
+
+impl<T> Deref for Items<T> {
+    type Target = [T];
+
+    fn deref(&self) -> &[T] {
+        match &self.0 {
+            Repr::One(item) => std::slice::from_ref(item),
+            Repr::Many(items) => items,
+        }
+    }
+}
+
+impl<T> DerefMut for Items<T> {
+    fn deref_mut(&mut self) -> &mut [T] {
+        match &mut self.0 {
+            Repr::One(item) => std::slice::from_mut(item),
+            Repr::Many(items) => items,
+        }
+    }
+}
+
+impl<T> FromIterator<T> for Items<T> {
+    fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Items<T> {
+        let mut iter = iter.into_iter();
+        match (iter.next(), iter.next()) {
+            (Some(one), None) => Items(Repr::One(one)),
+            (first, second) => Items(Repr::Many(
+                first.into_iter().chain(second).chain(iter).collect(),
+            )),
+        }
+    }
+}
+
+impl<T> From<Vec<T>> for Items<T> {
+    fn from(items: Vec<T>) -> Items<T> {
+        if items.len() == 1 {
+            items.into_iter().collect()
+        } else {
+            Items(Repr::Many(items))
+        }
+    }
+}
+
+impl<T: fmt::Debug> fmt::Debug for Items<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
     }
 }
 
@@ -327,6 +441,34 @@ mod tests {
     #[should_panic(expected = "empty")]
     fn empty_batch_rejected() {
         MultiInv { ops: Vec::new() }.assert_well_formed();
+    }
+
+    #[test]
+    fn items_hold_one_entry_inline_and_act_like_a_vec() {
+        let one: Items<u64> = std::iter::once(7).collect();
+        assert!(matches!(one.0, Repr::One(7)));
+        assert_eq!(one, Items::from(vec![7]));
+        assert_eq!(format!("{one:?}"), format!("{:?}", vec![7u64]));
+        let many: Items<u64> = (1..=3).collect();
+        assert_eq!(&*many, &[1, 2, 3]);
+        assert_eq!(format!("{many:?}"), "[1, 2, 3]");
+        let none: Items<u64> = std::iter::empty().collect();
+        assert!(none.is_empty());
+        assert_ne!(one, many);
+    }
+
+    #[test]
+    fn registers_are_one_key_batches_at_key_zero() {
+        let mut ops = Vec::new();
+        RegInv::Write(5).into_batch(&mut ops);
+        assert_eq!(ops, vec![(0, RegInv::Write(5))]);
+        assert_eq!(
+            RegResp::from_batch(&[(0, RegResp::ReadValue(5))]),
+            RegResp::ReadValue(5)
+        );
+        ops.clear();
+        MultiInv::reads(&[3, 4]).into_batch(&mut ops);
+        assert_eq!(ops, vec![(3, RegInv::Read), (4, RegInv::Read)]);
     }
 
     #[test]

@@ -9,141 +9,33 @@
 //! inversion deterministically — negative validation that the checker
 //! stack and the simulator's adversary controls actually bite.
 
-use crate::abd::AbdMsg;
+use crate::abd::{ShardedAbdClient, ShardedAbdMsg, ShardedAbdServerOn};
+use crate::backend::OneSlot;
 use crate::reg::{RegInv, RegResp};
-use crate::tag::Tag;
-use crate::value::Value;
-use shmem_sim::{hash_of, Ctx, Node, NodeId, Protocol};
-use std::collections::{BTreeMap, BTreeSet};
+use shmem_sim::Protocol;
 
-/// Protocol marker: ABD servers, write-back-less clients.
+/// Protocol marker: the ABD register server, write-back-less clients
+/// ([`ShardedAbdClient::without_write_back`]): reads return straight after
+/// the query phase, writes are the normal two-phase ABD writes.
 pub struct NoWriteBack;
 
 impl Protocol for NoWriteBack {
-    type Msg = AbdMsg;
+    type Msg = ShardedAbdMsg;
     type Inv = RegInv;
     type Resp = RegResp;
-    type Server = crate::abd::AbdServer;
-    type Client = NwbClient;
-}
+    type Server = ShardedAbdServerOn<OneSlot>;
+    type Client = ShardedAbdClient;
 
-/// A client whose reads return straight after the query phase (no
-/// write-back). Writes are the normal two-phase ABD writes.
-#[derive(Clone, Debug)]
-pub struct NwbClient {
-    n: u32,
-    majority: u32,
-    me: u32,
-    rid: u64,
-    phase: Phase,
-}
-
-#[derive(Clone, Debug)]
-enum Phase {
-    Idle,
-    Query {
-        op: RegInv,
-        responses: BTreeMap<u32, (Tag, Value)>,
-    },
-    Store {
-        // Keyed by server so duplicated acks don't double-count: this
-        // client's only deliberate bug is the missing read write-back.
-        acks: BTreeSet<u32>,
-    },
-}
-
-impl NwbClient {
-    /// A client for an `n`-server cluster.
-    pub fn new(n: u32, me: u32) -> NwbClient {
-        NwbClient {
-            n,
-            majority: n / 2 + 1,
-            me,
-            rid: 0,
-            phase: Phase::Idle,
-        }
-    }
-}
-
-impl Node<NoWriteBack> for NwbClient {
-    fn on_invoke(&mut self, inv: RegInv, ctx: &mut Ctx<NoWriteBack>) {
-        assert!(matches!(self.phase, Phase::Idle), "operation already open");
-        self.rid += 1;
-        self.phase = Phase::Query {
-            op: inv,
-            responses: BTreeMap::new(),
-        };
-        ctx.broadcast_to_servers(self.n, AbdMsg::Query { rid: self.rid });
-    }
-
-    fn on_message(&mut self, from: NodeId, msg: AbdMsg, ctx: &mut Ctx<NoWriteBack>) {
-        let server = match from.as_server() {
-            Some(s) => s.0,
-            None => return,
-        };
-        match (&mut self.phase, msg) {
-            (Phase::Query { op, responses }, AbdMsg::QueryResp { rid, tag, value })
-                if rid == self.rid =>
-            {
-                responses.insert(server, (tag, value));
-                if responses.len() as u32 == self.majority {
-                    let (&max_tag, &max_value) = responses
-                        .iter()
-                        .map(|(_, (t, v))| (t, v))
-                        .max_by_key(|(t, _)| **t)
-                        .expect("majority nonempty");
-                    match *op {
-                        RegInv::Write(v) => {
-                            self.rid += 1;
-                            self.phase = Phase::Store {
-                                acks: BTreeSet::new(),
-                            };
-                            ctx.broadcast_to_servers(
-                                self.n,
-                                AbdMsg::Store {
-                                    rid: self.rid,
-                                    tag: max_tag.successor(self.me),
-                                    value: v,
-                                },
-                            );
-                        }
-                        RegInv::Read => {
-                            // THE BUG: return immediately, no write-back.
-                            self.phase = Phase::Idle;
-                            self.rid += 1;
-                            ctx.respond(RegResp::ReadValue(max_value));
-                        }
-                    }
-                }
-            }
-            (Phase::Store { acks }, AbdMsg::StoreAck { rid }) if rid == self.rid => {
-                acks.insert(server);
-                if acks.len() as u32 == self.majority {
-                    self.phase = Phase::Idle;
-                    self.rid += 1;
-                    ctx.respond(RegResp::WriteAck);
-                }
-            }
-            _ => {}
-        }
-    }
-
-    fn digest(&self) -> u64 {
-        let tag = match &self.phase {
-            Phase::Idle => 0u8,
-            Phase::Query { .. } => 1,
-            Phase::Store { .. } => 2,
-        };
-        hash_of(&(self.me, self.rid, tag, format!("{:?}", self.phase)))
+    fn msg_wire_bytes(msg: &ShardedAbdMsg) -> u64 {
+        msg.wire_bytes()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::abd::AbdServer;
     use crate::value::ValueSpec;
-    use shmem_sim::{ClientId, Sim, SimConfig};
+    use shmem_sim::{ClientId, NodeId, Sim, SimConfig};
     use shmem_spec::history::{History, OpKind};
     use shmem_spec::{check_atomic, check_regular};
 
@@ -151,8 +43,12 @@ mod tests {
         let spec = ValueSpec::from_bits(64.0);
         Sim::new(
             SimConfig::without_gossip(),
-            (0..n).map(|_| AbdServer::new(0, spec)).collect(),
-            (0..clients).map(|c| NwbClient::new(n, c)).collect(),
+            (0..n)
+                .map(|_| ShardedAbdServerOn::register(0, spec))
+                .collect(),
+            (0..clients)
+                .map(|c| ShardedAbdClient::without_write_back(n, c))
+                .collect(),
         )
     }
 

@@ -10,171 +10,27 @@
 //! and the extreme point of the phase-structure spectrum: its write
 //! profile is one burst, trivially satisfying Assumption 3.
 
-use crate::abd::AbdMsg;
+use crate::abd::{ShardedAbdClient, ShardedAbdMsg, ShardedAbdServerOn};
+use crate::backend::OneSlot;
 use crate::reg::{RegInv, RegResp};
-use crate::tag::Tag;
-use crate::value::{Value, ValueSpec};
-use shmem_sim::{hash_of, Ctx, Node, NodeId, Protocol};
-use std::collections::{BTreeMap, BTreeSet};
+use crate::value::ValueSpec;
+use shmem_sim::Protocol;
 
-/// Protocol marker for single-writer ABD. Reuses the ABD message
-/// repertoire and server ([`crate::abd::AbdServer`] adopts by tag, which
-/// is exactly what the single-writer protocol needs).
+/// Protocol marker for single-writer ABD: the ABD register server (it
+/// adopts by tag, which is exactly what the single-writer protocol needs)
+/// and the single-writer client ([`ShardedAbdClient::single_writer`]).
+/// Client 0 is the designated writer; all other clients are readers.
 pub struct SwmrAbd;
 
 impl Protocol for SwmrAbd {
-    type Msg = AbdMsg;
+    type Msg = ShardedAbdMsg;
     type Inv = RegInv;
     type Resp = RegResp;
-    type Server = crate::abd::AbdServer;
-    type Client = SwmrClient;
-}
+    type Server = ShardedAbdServerOn<OneSlot>;
+    type Client = ShardedAbdClient;
 
-/// A single-writer-ABD client. Client 0 is the designated writer; all
-/// other clients are readers.
-#[derive(Clone, Debug)]
-pub struct SwmrClient {
-    n: u32,
-    majority: u32,
-    me: u32,
-    /// The writer's local sequence number (single-writer: no query
-    /// needed).
-    seq: u64,
-    rid: u64,
-    phase: Phase,
-}
-
-#[derive(Clone, Debug)]
-enum Phase {
-    Idle,
-    /// Writer waiting for store acks.
-    WriteStore {
-        acks: BTreeSet<u32>,
-    },
-    /// Reader collecting query responses.
-    ReadQuery {
-        responses: BTreeMap<u32, (Tag, Value)>,
-    },
-    /// Reader writing back the chosen pair.
-    ReadBack {
-        value: Value,
-        acks: BTreeSet<u32>,
-    },
-}
-
-impl SwmrClient {
-    /// A client for an `n`-server cluster; `me == 0` is the writer.
-    pub fn new(n: u32, me: u32) -> SwmrClient {
-        SwmrClient {
-            n,
-            majority: n / 2 + 1,
-            me,
-            seq: 0,
-            rid: 0,
-            phase: Phase::Idle,
-        }
-    }
-}
-
-impl Node<SwmrAbd> for SwmrClient {
-    fn on_invoke(&mut self, inv: RegInv, ctx: &mut Ctx<SwmrAbd>) {
-        assert!(matches!(self.phase, Phase::Idle), "operation already open");
-        self.rid += 1;
-        match inv {
-            RegInv::Write(value) => {
-                assert_eq!(
-                    self.me, 0,
-                    "single-writer register: only client 0 may write"
-                );
-                // One phase: no query, the writer owns the tag sequence.
-                self.seq += 1;
-                self.phase = Phase::WriteStore {
-                    acks: BTreeSet::new(),
-                };
-                ctx.broadcast_to_servers(
-                    self.n,
-                    AbdMsg::Store {
-                        rid: self.rid,
-                        tag: Tag::new(self.seq, 0),
-                        value,
-                    },
-                );
-            }
-            RegInv::Read => {
-                self.phase = Phase::ReadQuery {
-                    responses: BTreeMap::new(),
-                };
-                ctx.broadcast_to_servers(self.n, AbdMsg::Query { rid: self.rid });
-            }
-        }
-    }
-
-    fn on_message(&mut self, from: NodeId, msg: AbdMsg, ctx: &mut Ctx<SwmrAbd>) {
-        let server = match from.as_server() {
-            Some(s) => s.0,
-            None => return,
-        };
-        match (&mut self.phase, msg) {
-            (Phase::WriteStore { acks }, AbdMsg::StoreAck { rid }) if rid == self.rid => {
-                acks.insert(server);
-                if acks.len() as u32 == self.majority {
-                    self.phase = Phase::Idle;
-                    self.rid += 1;
-                    ctx.respond(RegResp::WriteAck);
-                }
-            }
-            (Phase::ReadQuery { responses }, AbdMsg::QueryResp { rid, tag, value })
-                if rid == self.rid =>
-            {
-                responses.insert(server, (tag, value));
-                if responses.len() as u32 == self.majority {
-                    let (&tag, &value) = responses
-                        .iter()
-                        .map(|(_, (t, v))| (t, v))
-                        .max_by_key(|(t, _)| **t)
-                        .expect("majority nonempty");
-                    self.rid += 1;
-                    self.phase = Phase::ReadBack {
-                        value,
-                        acks: BTreeSet::new(),
-                    };
-                    ctx.broadcast_to_servers(
-                        self.n,
-                        AbdMsg::Store {
-                            rid: self.rid,
-                            tag,
-                            value,
-                        },
-                    );
-                }
-            }
-            (Phase::ReadBack { value, acks }, AbdMsg::StoreAck { rid }) if rid == self.rid => {
-                acks.insert(server);
-                if acks.len() as u32 == self.majority {
-                    let value = *value;
-                    self.phase = Phase::Idle;
-                    self.rid += 1;
-                    ctx.respond(RegResp::ReadValue(value));
-                }
-            }
-            _ => {}
-        }
-    }
-
-    fn digest(&self) -> u64 {
-        let tag = match &self.phase {
-            Phase::Idle => 0u8,
-            Phase::WriteStore { .. } => 1,
-            Phase::ReadQuery { .. } => 2,
-            Phase::ReadBack { .. } => 3,
-        };
-        hash_of(&(
-            self.me,
-            self.seq,
-            self.rid,
-            tag,
-            format!("{:?}", self.phase),
-        ))
+    fn msg_wire_bytes(msg: &ShardedAbdMsg) -> u64 {
+        msg.wire_bytes()
     }
 }
 
@@ -184,16 +40,18 @@ pub fn swmr_world(n: u32, clients: u32, spec: ValueSpec) -> shmem_sim::Sim<SwmrA
     shmem_sim::Sim::new(
         shmem_sim::SimConfig::without_gossip(),
         (0..n)
-            .map(|_| crate::abd::AbdServer::new(0, spec))
+            .map(|_| ShardedAbdServerOn::register(0, spec))
             .collect(),
-        (0..clients).map(|c| SwmrClient::new(n, c)).collect(),
+        (0..clients)
+            .map(|c| ShardedAbdClient::single_writer(n, c))
+            .collect(),
     )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use shmem_sim::{ClientId, Sim};
+    use shmem_sim::{ClientId, NodeId, Sim};
 
     fn cluster(n: u32, clients: u32) -> Sim<SwmrAbd> {
         swmr_world(n, clients, ValueSpec::from_bits(64.0))

@@ -2,12 +2,16 @@
 //!
 //! Two equivalences are pinned:
 //!
-//! 1. **Batch-size-1 ≡ legacy.** A sharded protocol over
-//!    [`ShardMap::full`] driving single-key batches is step-isomorphic to
-//!    its legacy single-register counterpart: under identical seeded
-//!    schedules the two worlds produce identical [`StepInfo`] traces
-//!    (trace entries are protocol-independent), identical step counts, and
-//!    identical per-key histories.
+//! 1. **Batch-size-1 ≡ single register.** A sharded protocol over
+//!    [`ShardMap::full`] driving single-key batches behaves exactly like
+//!    the single-register protocol: under identical seeded schedules the
+//!    two produce identical [`StepInfo`] traces (trace entries are
+//!    protocol-independent), identical step counts, and identical per-key
+//!    histories. Single-register ABD runs on the keyed ABD automaton, so
+//!    both ABD worlds are checked against hashes recorded from the
+//!    original single-register automaton ([`ABD_RECORDED`]). CAS and
+//!    hashed CAS still have a separate single-register automaton and are
+//!    compared against it directly.
 //! 2. **Batched ≡ per-key atomic.** Any batched execution, projected per
 //!    key with [`project_histories`], satisfies the unmodified
 //!    `shmem-spec` atomicity checker key by key — including under a
@@ -15,11 +19,14 @@
 //!    fault-free drain.
 
 use shmem_algorithms::abd::{
-    Abd, AbdClient, AbdServer, ShardedAbd, ShardedAbdClient, ShardedAbdServer,
+    Abd, ShardedAbd, ShardedAbdClient, ShardedAbdServer, ShardedAbdServerOn,
 };
 use shmem_algorithms::cas::{
     Cas, CasClient, CasConfig, CasServer, ShardedCas, ShardedCasClient, ShardedCasConfig,
     ShardedCasServer,
+};
+use shmem_algorithms::hashed::{
+    HashedCas, HashedClient, HashedServer, ShardedHashed, ShardedHashedClient, ShardedHashedServer,
 };
 use shmem_algorithms::workloads::ZipfKeys;
 use shmem_algorithms::ShardMap;
@@ -33,12 +40,16 @@ use shmem_util::DetRng;
 
 const SPEC: f64 = 64.0;
 
-fn legacy_abd(n: u32, clients: u32) -> Sim<Abd> {
+fn register_abd(n: u32, clients: u32) -> Sim<Abd> {
     let spec = ValueSpec::from_bits(SPEC);
     Sim::new(
         SimConfig::without_gossip(),
-        (0..n).map(|_| AbdServer::new(0, spec)).collect(),
-        (0..clients).map(|c| AbdClient::new(n, c)).collect(),
+        (0..n)
+            .map(|_| ShardedAbdServerOn::register(0, spec))
+            .collect(),
+        (0..clients)
+            .map(|c| ShardedAbdClient::register(n, c))
+            .collect(),
     )
 }
 
@@ -78,6 +89,29 @@ fn sharded_cas(cfg: &ShardedCasConfig, clients: u32) -> Sim<ShardedCas> {
     )
 }
 
+fn legacy_hashed(n: u32, f: u32, clients: u32) -> Sim<HashedCas> {
+    let cfg = CasConfig::native(n, f, ValueSpec::from_bits(SPEC));
+    Sim::new(
+        SimConfig::without_gossip(),
+        (0..n)
+            .map(|i| HashedServer::new(cfg, ServerId(i), 0))
+            .collect(),
+        (0..clients).map(|c| HashedClient::new(cfg, c)).collect(),
+    )
+}
+
+fn sharded_hashed(cfg: &ShardedCasConfig, clients: u32) -> Sim<ShardedHashed> {
+    Sim::new(
+        SimConfig::without_gossip(),
+        (0..cfg.map.n())
+            .map(|i| ShardedHashedServer::new(cfg.clone(), ServerId(i), 0))
+            .collect(),
+        (0..clients)
+            .map(|c| ShardedHashedClient::new(cfg.clone(), c))
+            .collect(),
+    )
+}
+
 /// Runs `sim` under the seeded schedule until quiescence, returning the
 /// step trace.
 fn drive_seeded<P: Protocol>(sim: &mut Sim<P>, seed: u64) -> Vec<StepInfo> {
@@ -108,7 +142,7 @@ fn op_sequence() -> Vec<(u32, RegInv)> {
     ]
 }
 
-fn legacy_history<P: Protocol<Inv = RegInv, Resp = RegResp>>(sim: &Sim<P>) -> History<Value> {
+fn register_history<P: Protocol<Inv = RegInv, Resp = RegResp>>(sim: &Sim<P>) -> History<Value> {
     let mut h = History::new(0);
     for op in sim.ops() {
         let kind = match op.invocation {
@@ -140,27 +174,28 @@ const ABD_RECORDED: [(u64, u64, u64); 8] = [
 
 /// Batch-size-1 sharded ABD over the full map reproduces the recorded
 /// single-register ABD behaviour: identical traces, step counts, and
-/// histories — and so does the single-register marker itself.
+/// histories — and so does single-register [`Abd`], key 0 of the same
+/// automaton.
 #[test]
 fn batch1_sharded_abd_reproduces_recorded_abd() {
     for (seed, trace_hash, history_hash) in ABD_RECORDED {
-        let mut legacy = legacy_abd(5, 2);
+        let mut register = register_abd(5, 2);
         let mut sharded = sharded_abd(ShardMap::full(5), 2);
-        let mut legacy_trace = Vec::new();
+        let mut register_trace = Vec::new();
         let mut sharded_trace = Vec::new();
         for (round, (client, inv)) in op_sequence().into_iter().enumerate() {
             let op_seed = seed.wrapping_mul(1000) + round as u64;
-            legacy.invoke(ClientId(client), inv).unwrap();
+            register.invoke(ClientId(client), inv).unwrap();
             let minv = match inv {
                 RegInv::Write(v) => MultiInv::writes(&[(KEY, v)]),
                 RegInv::Read => MultiInv::reads(&[KEY]),
             };
             sharded.invoke(ClientId(client), minv).unwrap();
-            legacy_trace.extend(drive_seeded(&mut legacy, op_seed));
+            register_trace.extend(drive_seeded(&mut register, op_seed));
             sharded_trace.extend(drive_seeded(&mut sharded, op_seed));
         }
         assert_eq!(
-            hash_debug(&legacy_trace),
+            hash_debug(&register_trace),
             trace_hash,
             "seed {seed}: single-register ABD trace diverged from the record"
         );
@@ -170,7 +205,7 @@ fn batch1_sharded_abd_reproduces_recorded_abd() {
             "seed {seed}: sharded batch-1 ABD trace diverged from the record"
         );
         assert_eq!(
-            hash_debug(legacy_history(&legacy).ops()),
+            hash_debug(register_history(&register).ops()),
             history_hash,
             "seed {seed}: single-register ABD history diverged from the record"
         );
@@ -211,7 +246,38 @@ fn batch1_sharded_cas_is_trace_equivalent_to_legacy() {
             "seed {seed}: sharded batch-1 CAS diverged from legacy"
         );
         let projected = project_histories(0, sharded.ops());
-        assert_eq!(projected[&KEY].ops(), legacy_history(&legacy).ops());
+        assert_eq!(projected[&KEY].ops(), register_history(&legacy).ops());
+    }
+}
+
+/// Batch-size-1 sharded hashed CAS over the full map is step-isomorphic
+/// to legacy hashed CAS with the same `(n, f)` — the starting evidence for
+/// folding the two automata.
+#[test]
+fn batch1_sharded_hashed_is_trace_equivalent_to_legacy() {
+    for seed in 0..8u64 {
+        let mut legacy = legacy_hashed(5, 1, 2);
+        let cfg = ShardedCasConfig::native(ShardMap::full(5), 1, ValueSpec::from_bits(SPEC));
+        let mut sharded = sharded_hashed(&cfg, 2);
+        let mut legacy_trace = Vec::new();
+        let mut sharded_trace = Vec::new();
+        for (round, (client, inv)) in op_sequence().into_iter().enumerate() {
+            let op_seed = seed.wrapping_mul(1000) + round as u64;
+            legacy.invoke(ClientId(client), inv).unwrap();
+            let minv = match inv {
+                RegInv::Write(v) => MultiInv::writes(&[(KEY, v)]),
+                RegInv::Read => MultiInv::reads(&[KEY]),
+            };
+            sharded.invoke(ClientId(client), minv).unwrap();
+            legacy_trace.extend(drive_seeded(&mut legacy, op_seed));
+            sharded_trace.extend(drive_seeded(&mut sharded, op_seed));
+        }
+        assert_eq!(
+            legacy_trace, sharded_trace,
+            "seed {seed}: sharded batch-1 hashed CAS diverged from legacy"
+        );
+        let projected = project_histories(0, sharded.ops());
+        assert_eq!(projected[&KEY].ops(), register_history(&legacy).ops());
     }
 }
 

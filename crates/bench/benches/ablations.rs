@@ -5,7 +5,7 @@
 //! * Reed–Solomon code dimension `k` (per-symbol work vs share size);
 //! * CASGC garbage-collection depth (steady-state write cost).
 
-use shmem_algorithms::abd::{Abd, AbdClient, AbdServer};
+use shmem_algorithms::abd::{Abd, ShardedAbdClient, ShardedAbdServerOn};
 use shmem_algorithms::harness::CasCluster;
 use shmem_algorithms::value::ValueSpec;
 use shmem_core::execution::AlphaExecution;
@@ -19,8 +19,10 @@ fn abd_world() -> Sim<Abd> {
     let spec = ValueSpec::from_cardinality(8);
     Sim::new(
         SimConfig::without_gossip(),
-        (0..5).map(|_| AbdServer::new(0, spec)).collect(),
-        (0..2).map(|c| AbdClient::new(5, c)).collect(),
+        (0..5)
+            .map(|_| ShardedAbdServerOn::register(0, spec))
+            .collect(),
+        (0..2).map(|c| ShardedAbdClient::register(5, c)).collect(),
     )
 }
 

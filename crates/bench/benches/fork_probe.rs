@@ -7,7 +7,7 @@
 //! workers. Verdicts are bit-identical across the grid (asserted by
 //! `crates/core/tests/engine_parity.rs`); only the wall-clock changes.
 
-use shmem_algorithms::abd::{Abd, AbdClient, AbdServer};
+use shmem_algorithms::abd::{Abd, ShardedAbdClient, ShardedAbdServerOn};
 use shmem_algorithms::value::ValueSpec;
 use shmem_core::counting::pairwise_counting_with;
 use shmem_core::critical::find_critical_pair_with;
@@ -24,8 +24,10 @@ fn abd_world() -> Sim<Abd> {
     let spec = ValueSpec::from_cardinality(8);
     Sim::new(
         SimConfig::without_gossip(),
-        (0..5).map(|_| AbdServer::new(0, spec)).collect(),
-        (0..3).map(|c| AbdClient::new(5, c)).collect(),
+        (0..5)
+            .map(|_| ShardedAbdServerOn::register(0, spec))
+            .collect(),
+        (0..3).map(|c| ShardedAbdClient::register(5, c)).collect(),
     )
 }
 

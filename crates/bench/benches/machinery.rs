@@ -2,7 +2,7 @@
 //! construction, valency probes, critical-pair search, and the staged
 //! Section 6 search.
 
-use shmem_algorithms::abd::{self, Abd, AbdClient, AbdServer};
+use shmem_algorithms::abd::{self, Abd, ShardedAbdClient, ShardedAbdServerOn};
 use shmem_algorithms::value::ValueSpec;
 use shmem_core::critical::find_critical_pair;
 use shmem_core::execution::AlphaExecution;
@@ -16,8 +16,12 @@ fn abd_world(clients: u32) -> Sim<Abd> {
     let spec = ValueSpec::from_cardinality(8);
     Sim::new(
         SimConfig::without_gossip(),
-        (0..5).map(|_| AbdServer::new(0, spec)).collect(),
-        (0..clients).map(|c| AbdClient::new(5, c)).collect(),
+        (0..5)
+            .map(|_| ShardedAbdServerOn::register(0, spec))
+            .collect(),
+        (0..clients)
+            .map(|c| ShardedAbdClient::register(5, c))
+            .collect(),
     )
 }
 

@@ -201,7 +201,7 @@ fn cmd_audit(flags: BTreeMap<String, String>) {
 }
 
 fn cmd_alpha(flags: BTreeMap<String, String>) {
-    use shmem_algorithms::abd::{Abd, AbdClient, AbdServer};
+    use shmem_algorithms::abd::{Abd, ShardedAbdClient, ShardedAbdServerOn};
     use shmem_core::critical::{find_critical_pair, valency_profile};
     use shmem_core::execution::AlphaExecution;
     use shmem_sim::{ClientId, Sim, SimConfig};
@@ -213,8 +213,12 @@ fn cmd_alpha(flags: BTreeMap<String, String>) {
     let spec = ValueSpec::from_cardinality(8);
     let sim: Sim<Abd> = Sim::new(
         SimConfig::without_gossip(),
-        (0..p.n()).map(|_| AbdServer::new(0, spec)).collect(),
-        (0..2).map(|c| AbdClient::new(p.n(), c)).collect(),
+        (0..p.n())
+            .map(|_| ShardedAbdServerOn::register(0, spec))
+            .collect(),
+        (0..2)
+            .map(|c| ShardedAbdClient::register(p.n(), c))
+            .collect(),
     );
     println!(
         "building alpha^(v1={v1}, v2={v2}) against ABD, {p}, probing with          {seeds} random schedules per point...\n"

@@ -1,7 +1,7 @@
 //! Experiments E5–E8: measured executions vs the bounds.
 
 use crate::render::Table;
-use shmem_algorithms::abd::{self, Abd, AbdClient, AbdServer};
+use shmem_algorithms::abd::{self, Abd, ShardedAbdClient, ShardedAbdServerOn};
 use shmem_algorithms::cas::{self, Cas, CasClient, CasConfig, CasServer};
 use shmem_algorithms::harness::{run_concurrent_workload, AbdCluster, CasCluster};
 use shmem_algorithms::value::ValueSpec;
@@ -93,8 +93,10 @@ fn abd_world(n: u32, card: u64) -> Sim<Abd> {
     let spec = ValueSpec::from_cardinality(card);
     Sim::new(
         SimConfig::without_gossip(),
-        (0..n).map(|_| AbdServer::new(0, spec)).collect(),
-        (0..2).map(|c| AbdClient::new(n, c)).collect(),
+        (0..n)
+            .map(|_| ShardedAbdServerOn::register(0, spec))
+            .collect(),
+        (0..2).map(|c| ShardedAbdClient::register(n, c)).collect(),
     )
 }
 
@@ -267,8 +269,10 @@ pub fn probe_cache_table(n: u32, f: u32, card: u64, seeds: u64) -> Table {
                 let spec = ValueSpec::from_cardinality(card);
                 Sim::<Abd>::new(
                     SimConfig::without_gossip(),
-                    (0..n).map(|_| AbdServer::new(0, spec)).collect(),
-                    (0..3).map(|c| AbdClient::new(n, c)).collect(),
+                    (0..n)
+                        .map(|_| ShardedAbdServerOn::register(0, spec))
+                        .collect(),
+                    (0..3).map(|c| ShardedAbdClient::register(n, c)).collect(),
                 )
             };
             vector_counting_with(engine, make, &setup, &domain, seeds).injective
@@ -295,8 +299,10 @@ pub fn multiwrite_table(card: u64, seeds: u64) -> Table {
         let spec = ValueSpec::from_cardinality(card);
         Sim::<Abd>::new(
             SimConfig::without_gossip(),
-            (0..5).map(|_| AbdServer::new(0, spec)).collect(),
-            (0..3).map(|c| AbdClient::new(5, c)).collect(),
+            (0..5)
+                .map(|_| ShardedAbdServerOn::register(0, spec))
+                .collect(),
+            (0..3).map(|c| ShardedAbdClient::register(5, c)).collect(),
         )
     };
     let r = vector_counting(abd_make, &abd_setup, &domain, seeds);
@@ -468,8 +474,10 @@ pub fn phases_table() -> Table {
 
     let abd_sim: Sim<Abd> = Sim::new(
         SimConfig::without_gossip(),
-        (0..5).map(|_| AbdServer::new(0, spec)).collect(),
-        vec![AbdClient::new(5, 0)],
+        (0..5)
+            .map(|_| ShardedAbdServerOn::register(0, spec))
+            .collect(),
+        vec![ShardedAbdClient::register(5, 0)],
     );
     push(
         "ABD (MWMR)",
@@ -485,7 +493,7 @@ pub fn phases_table() -> Table {
     let gossip_sim: Sim<AbdGossip> = Sim::new(
         SimConfig::with_gossip(),
         (0..5).map(|i| GossipServer::new(i, 5, 0, spec)).collect(),
-        vec![AbdClient::new(5, 0)],
+        vec![ShardedAbdClient::register(5, 0)],
     );
     push(
         "ABD (gossip)",
@@ -653,8 +661,10 @@ pub fn traffic_table() -> Table {
 
     let mut abd: Sim<Abd> = Sim::new(
         SimConfig::without_gossip(),
-        (0..5).map(|_| AbdServer::new(0, spec)).collect(),
-        (0..2).map(|c| AbdClient::new(5, c)).collect(),
+        (0..5)
+            .map(|_| ShardedAbdServerOn::register(0, spec))
+            .collect(),
+        (0..2).map(|c| ShardedAbdClient::register(5, c)).collect(),
     );
     rows(&mut t, "ABD (MWMR)", &mut abd);
 
@@ -664,7 +674,7 @@ pub fn traffic_table() -> Table {
     let mut gossip: Sim<AbdGossip> = Sim::new(
         SimConfig::with_gossip(),
         (0..5).map(|i| GossipServer::new(i, 5, 0, spec)).collect(),
-        (0..2).map(|c| AbdClient::new(5, c)).collect(),
+        (0..2).map(|c| ShardedAbdClient::register(5, c)).collect(),
     );
     rows(&mut t, "ABD (gossip)", &mut gossip);
 

@@ -103,7 +103,7 @@ pub fn write_phase_profile<P: Protocol<Inv = RegInv, Resp = RegResp>>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use shmem_algorithms::abd::{self, Abd, AbdClient, AbdServer};
+    use shmem_algorithms::abd::{self, Abd, ShardedAbdClient, ShardedAbdServerOn};
     use shmem_algorithms::cas::{self, Cas, CasClient, CasConfig, CasServer};
     use shmem_algorithms::hashed::{self, HashedCas, HashedClient, HashedServer};
     use shmem_algorithms::value::ValueSpec;
@@ -114,8 +114,10 @@ mod tests {
         let spec = ValueSpec::from_bits(64.0);
         let sim: Sim<Abd> = Sim::new(
             SimConfig::without_gossip(),
-            (0..5).map(|_| AbdServer::new(0, spec)).collect(),
-            vec![AbdClient::new(5, 0)],
+            (0..5)
+                .map(|_| ShardedAbdServerOn::register(0, spec))
+                .collect(),
+            vec![ShardedAbdClient::register(5, 0)],
         );
         let profile =
             write_phase_profile(sim, ClientId(0), 7, abd::is_value_dependent_upstream).unwrap();

@@ -301,9 +301,9 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use shmem_algorithms::abd::{Abd, AbdClient, AbdServer};
+    use shmem_algorithms::abd::{Abd, ShardedAbdClient, ShardedAbdServerOn};
     use shmem_algorithms::cas::{Cas, CasClient, CasConfig, CasServer};
-    use shmem_algorithms::lossy::{Lossy, LossyServer};
+    use shmem_algorithms::lossy::{lossy_server, Lossy};
     use shmem_algorithms::value::ValueSpec;
     use shmem_sim::{ServerId, SimConfig};
 
@@ -311,8 +311,10 @@ mod tests {
         let spec = ValueSpec::from_cardinality(8);
         Sim::new(
             SimConfig::without_gossip(),
-            (0..5).map(|_| AbdServer::new(0, spec)).collect(),
-            (0..2).map(|c| AbdClient::new(5, c)).collect(),
+            (0..5)
+                .map(|_| ShardedAbdServerOn::register(0, spec))
+                .collect(),
+            (0..2).map(|c| ShardedAbdClient::register(5, c)).collect(),
         )
     }
 
@@ -331,10 +333,8 @@ mod tests {
         let spec = ValueSpec::from_cardinality(8);
         Sim::new(
             SimConfig::without_gossip(),
-            (0..5)
-                .map(|_| LossyServer::new(0, kept_bits, spec))
-                .collect(),
-            (0..2).map(|c| AbdClient::new(5, c)).collect(),
+            (0..5).map(|_| lossy_server(0, kept_bits, spec)).collect(),
+            (0..2).map(|c| ShardedAbdClient::register(5, c)).collect(),
         )
     }
 

@@ -254,7 +254,7 @@ mod tests {
     use super::*;
     use crate::execution::AlphaExecution;
     use crate::valency::probe_read;
-    use shmem_algorithms::abd::{Abd, AbdClient, AbdServer};
+    use shmem_algorithms::abd::{Abd, ShardedAbdClient, ShardedAbdServerOn};
     use shmem_algorithms::cas::{Cas, CasClient, CasConfig, CasServer};
     use shmem_algorithms::value::ValueSpec;
     use shmem_sim::{ServerId, Sim, SimConfig};
@@ -263,8 +263,10 @@ mod tests {
         let spec = ValueSpec::from_cardinality(8);
         let sim: Sim<Abd> = Sim::new(
             SimConfig::without_gossip(),
-            (0..5).map(|_| AbdServer::new(0, spec)).collect(),
-            (0..2).map(|c| AbdClient::new(5, c)).collect(),
+            (0..5)
+                .map(|_| ShardedAbdServerOn::register(0, spec))
+                .collect(),
+            (0..2).map(|c| ShardedAbdClient::register(5, c)).collect(),
         );
         AlphaExecution::build(sim, ClientId(0), 2, v1, v2).unwrap()
     }

@@ -35,7 +35,7 @@ impl<P: Protocol<Inv = RegInv, Resp = RegResp>> AlphaExecution<P> {
     /// Builds `α^{(v1,v2)}` from a fresh world.
     ///
     /// ```
-    /// use shmem_algorithms::abd::{Abd, AbdClient, AbdServer};
+    /// use shmem_algorithms::abd::{Abd, ShardedAbdClient, ShardedAbdServerOn};
     /// use shmem_algorithms::value::ValueSpec;
     /// use shmem_core::execution::AlphaExecution;
     /// use shmem_sim::{ClientId, Sim, SimConfig};
@@ -43,8 +43,8 @@ impl<P: Protocol<Inv = RegInv, Resp = RegResp>> AlphaExecution<P> {
     /// let spec = ValueSpec::from_cardinality(8);
     /// let sim: Sim<Abd> = Sim::new(
     ///     SimConfig::without_gossip(),
-    ///     (0..5).map(|_| AbdServer::new(0, spec)).collect(),
-    ///     (0..2).map(|c| AbdClient::new(5, c)).collect(),
+    ///     (0..5).map(|_| ShardedAbdServerOn::register(0, spec)).collect(),
+    ///     (0..2).map(|c| ShardedAbdClient::register(5, c)).collect(),
     /// );
     /// let alpha = AlphaExecution::build(sim, ClientId(0), 2, 1, 2)?;
     /// assert!(alpha.len() > 2); // P0 .. PM, one snapshot per step
@@ -151,7 +151,7 @@ impl<P: Protocol<Inv = RegInv, Resp = RegResp>> AlphaExecution<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use shmem_algorithms::abd::{Abd, AbdClient, AbdServer};
+    use shmem_algorithms::abd::{Abd, ShardedAbdClient, ShardedAbdServerOn};
     use shmem_algorithms::value::ValueSpec;
     use shmem_sim::{NodeId, SimConfig};
 
@@ -159,8 +159,12 @@ mod tests {
         let spec = ValueSpec::from_cardinality(8);
         Sim::new(
             SimConfig::without_gossip(),
-            (0..n).map(|_| AbdServer::new(0, spec)).collect(),
-            (0..clients).map(|c| AbdClient::new(n, c)).collect(),
+            (0..n)
+                .map(|_| ShardedAbdServerOn::register(0, spec))
+                .collect(),
+            (0..clients)
+                .map(|c| ShardedAbdClient::register(n, c))
+                .collect(),
         )
     }
 

@@ -597,7 +597,7 @@ fn enumerate_tuples(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use shmem_algorithms::abd::{self, Abd, AbdClient, AbdServer};
+    use shmem_algorithms::abd::{self, Abd, ShardedAbdClient, ShardedAbdServerOn};
     use shmem_algorithms::cas::{self, Cas, CasClient, CasConfig, CasServer};
     use shmem_algorithms::value::ValueSpec;
     use shmem_sim::{ServerId, SimConfig};
@@ -606,8 +606,10 @@ mod tests {
         let spec = ValueSpec::from_cardinality(8);
         Sim::new(
             SimConfig::without_gossip(),
-            (0..5).map(|_| AbdServer::new(0, spec)).collect(),
-            (0..3).map(|c| AbdClient::new(5, c)).collect(),
+            (0..5)
+                .map(|_| ShardedAbdServerOn::register(0, spec))
+                .collect(),
+            (0..3).map(|c| ShardedAbdClient::register(5, c)).collect(),
         )
     }
 
@@ -756,8 +758,10 @@ mod tests {
             let spec = ValueSpec::from_cardinality(8);
             Sim::<Abd>::new(
                 SimConfig::without_gossip(),
-                (0..5).map(|_| AbdServer::new(0, spec)).collect(),
-                (0..4).map(|c| AbdClient::new(5, c)).collect(),
+                (0..5)
+                    .map(|_| ShardedAbdServerOn::register(0, spec))
+                    .collect(),
+                (0..4).map(|c| ShardedAbdClient::register(5, c)).collect(),
             )
         };
         let profile = staged_search(make, &setup, &[1, 2, 3], 12).unwrap();

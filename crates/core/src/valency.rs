@@ -47,7 +47,7 @@ impl ReadOutcome {
 /// at `reader` and steps fairly until it returns.
 ///
 /// ```
-/// use shmem_algorithms::abd::{Abd, AbdClient, AbdServer};
+/// use shmem_algorithms::abd::{Abd, ShardedAbdClient, ShardedAbdServerOn};
 /// use shmem_algorithms::value::ValueSpec;
 /// use shmem_core::execution::AlphaExecution;
 /// use shmem_core::valency::{probe_read, ReadOutcome};
@@ -56,8 +56,8 @@ impl ReadOutcome {
 /// let spec = ValueSpec::from_cardinality(8);
 /// let sim: Sim<Abd> = Sim::new(
 ///     SimConfig::without_gossip(),
-///     (0..5).map(|_| AbdServer::new(0, spec)).collect(),
-///     (0..2).map(|c| AbdClient::new(5, c)).collect(),
+///     (0..5).map(|_| ShardedAbdServerOn::register(0, spec)).collect(),
+///     (0..2).map(|c| ShardedAbdClient::register(5, c)).collect(),
 /// );
 /// let alpha = AlphaExecution::build(sim, ClientId(0), 2, 1, 2)?;
 /// // P0 is 1-valent: before write(v2) begins, a frozen-writer read
@@ -231,7 +231,7 @@ pub fn observed_values<P: Protocol<Inv = RegInv, Resp = RegResp>>(
 mod tests {
     use super::*;
     use crate::execution::AlphaExecution;
-    use shmem_algorithms::abd::{Abd, AbdClient, AbdServer};
+    use shmem_algorithms::abd::{Abd, ShardedAbdClient, ShardedAbdServerOn};
     use shmem_algorithms::value::ValueSpec;
     use shmem_sim::SimConfig;
 
@@ -239,8 +239,10 @@ mod tests {
         let spec = ValueSpec::from_cardinality(8);
         Sim::new(
             SimConfig::without_gossip(),
-            (0..5).map(|_| AbdServer::new(0, spec)).collect(),
-            (0..2).map(|c| AbdClient::new(5, c)).collect(),
+            (0..5)
+                .map(|_| ShardedAbdServerOn::register(0, spec))
+                .collect(),
+            (0..2).map(|c| ShardedAbdClient::register(5, c)).collect(),
         )
     }
 

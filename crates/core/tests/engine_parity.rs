@@ -8,9 +8,9 @@
 //! these tests assert it end to end, including the refutation (error)
 //! paths.
 
-use shmem_algorithms::abd::{self, Abd, AbdClient, AbdServer};
+use shmem_algorithms::abd::{self, Abd, ShardedAbdClient, ShardedAbdServerOn};
 use shmem_algorithms::cas::{Cas, CasClient, CasConfig, CasServer};
-use shmem_algorithms::lossy::{Lossy, LossyServer};
+use shmem_algorithms::lossy::{lossy_server, Lossy};
 use shmem_algorithms::value::ValueSpec;
 use shmem_core::counting::{
     pairwise_counting, pairwise_counting_with, singleton_counting, singleton_counting_with,
@@ -32,8 +32,10 @@ fn abd_world() -> Sim<Abd> {
     let spec = ValueSpec::from_cardinality(8);
     Sim::new(
         SimConfig::without_gossip(),
-        (0..5).map(|_| AbdServer::new(0, spec)).collect(),
-        (0..3).map(|c| AbdClient::new(5, c)).collect(),
+        (0..5)
+            .map(|_| ShardedAbdServerOn::register(0, spec))
+            .collect(),
+        (0..3).map(|c| ShardedAbdClient::register(5, c)).collect(),
     )
 }
 
@@ -52,8 +54,8 @@ fn lossy_world() -> Sim<Lossy> {
     let spec = ValueSpec::from_cardinality(8);
     Sim::new(
         SimConfig::without_gossip(),
-        (0..5).map(|_| LossyServer::new(0, 1, spec)).collect(),
-        (0..2).map(|c| AbdClient::new(5, c)).collect(),
+        (0..5).map(|_| lossy_server(0, 1, spec)).collect(),
+        (0..2).map(|c| ShardedAbdClient::register(5, c)).collect(),
     )
 }
 

@@ -7,7 +7,7 @@
 //! pairwise counting) on the gossiping ABD variant, where that flush is
 //! *not* a no-op.
 
-use shmem_algorithms::abd::AbdClient;
+use shmem_algorithms::abd::ShardedAbdClient;
 use shmem_algorithms::abd_gossip::{AbdGossip, GossipServer};
 use shmem_algorithms::value::ValueSpec;
 use shmem_core::counting::{pairwise_counting, singleton_counting};
@@ -21,7 +21,7 @@ fn gossip_world() -> Sim<AbdGossip> {
     Sim::new(
         SimConfig::with_gossip(),
         (0..5).map(|i| GossipServer::new(i, 5, 0, spec)).collect(),
-        (0..2).map(|c| AbdClient::new(5, c)).collect(),
+        (0..2).map(|c| ShardedAbdClient::register(5, c)).collect(),
     )
 }
 

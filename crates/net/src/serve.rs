@@ -311,7 +311,7 @@ mod tests {
         let _ = map;
         let query = ShardedAbdMsg::Query {
             rid: 1,
-            keys: vec![7],
+            keys: vec![7].into(),
         };
         client_ep
             .send(&Envelope {
@@ -390,7 +390,7 @@ mod tests {
             &mut client_ep,
             &ShardedAbdMsg::Store {
                 rid: 1,
-                items: vec![(7, tag, 42)],
+                items: vec![(7, tag, 42)].into(),
             },
         );
         assert!(matches!(
@@ -398,11 +398,12 @@ mod tests {
             ShardedAbdMsg::StoreAck { rid: 1 }
         ));
         for rid in 2..10u64 {
-            send(&mut client_ep, &ShardedAbdMsg::Query { rid, keys: vec![7] });
+            let keys = vec![7].into();
+            send(&mut client_ep, &ShardedAbdMsg::Query { rid, keys });
             match recv(&mut client_ep) {
                 ShardedAbdMsg::QueryResp { rid: r, items } => {
                     assert_eq!(r, rid);
-                    assert_eq!(items, vec![(7, tag, 42)]);
+                    assert_eq!(*items, [(7, tag, 42)]);
                 }
                 other => panic!("unexpected reply {other:?}"),
             }

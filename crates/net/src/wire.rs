@@ -408,15 +408,15 @@ impl WireMsg for ShardedAbdMsg {
         match tag {
             0 => Ok(ShardedAbdMsg::Query {
                 rid,
-                keys: decode_seq(r, |r| r.u64())?,
+                keys: decode_seq(r, |r| r.u64())?.into(),
             }),
             1 => Ok(ShardedAbdMsg::QueryResp {
                 rid,
-                items: decode_seq(r, ktv)?,
+                items: decode_seq(r, ktv)?.into(),
             }),
             2 => Ok(ShardedAbdMsg::Store {
                 rid,
-                items: decode_seq(r, ktv)?,
+                items: decode_seq(r, ktv)?.into(),
             }),
             3 => Ok(ShardedAbdMsg::StoreAck { rid }),
             tag => Err(WireError::BadTag {

@@ -133,7 +133,10 @@ fn arb_abd_msg(rng: &mut DetRng, batch: usize) -> ShardedAbdMsg {
     let rid = rng.next_u64();
     let keys = arb_keys(rng, batch);
     match rng.gen_range(0..4u32) {
-        0 => ShardedAbdMsg::Query { rid, keys },
+        0 => ShardedAbdMsg::Query {
+            rid,
+            keys: keys.into(),
+        },
         1 => ShardedAbdMsg::QueryResp {
             rid,
             items: keys

@@ -106,8 +106,11 @@ impl<M> MsgArena<M> {
         match self.free.pop() {
             Some(idx) => {
                 let slot = &mut self.slots[idx as usize];
-                debug_assert!(slot.msg.is_none(), "free-list slot still occupied");
-                slot.msg = Some(msg);
+                // A free-list slot is empty, so filling it drops nothing;
+                // the explicit check keeps a message destructor (and its
+                // dispatch on the old contents) off this path.
+                assert!(slot.msg.is_none(), "free-list slot still occupied");
+                slot.msg.get_or_insert(msg);
                 slot.next = NIL;
                 slot.tick = tick;
                 Handle { idx, gen: slot.gen }
@@ -129,12 +132,13 @@ impl<M> MsgArena<M> {
     /// free list.
     #[inline]
     pub fn take(&mut self, h: Handle) -> M {
+        // The message is taken last, so it moves straight into the
+        // caller's slot instead of round-tripping through a temporary.
+        self.free.push(h.idx);
         let slot = &mut self.slots[h.idx as usize];
         debug_assert_eq!(slot.gen, h.gen, "stale arena handle");
-        let msg = slot.msg.take().expect("arena handle points at a free slot");
         slot.gen = slot.gen.wrapping_add(1);
-        self.free.push(h.idx);
-        msg
+        slot.msg.take().expect("arena handle points at a free slot")
     }
 
     /// The message at `h`.

@@ -9,8 +9,8 @@
 //! cargo run --example lower_bound_witness
 //! ```
 
-use shmem_emulation::algorithms::abd::{Abd, AbdClient, AbdServer};
-use shmem_emulation::algorithms::lossy::{Lossy, LossyServer};
+use shmem_emulation::algorithms::abd::{Abd, ShardedAbdClient, ShardedAbdServerOn};
+use shmem_emulation::algorithms::lossy::{lossy_server, Lossy};
 use shmem_emulation::algorithms::value::ValueSpec;
 use shmem_emulation::core::counting::{pairwise_counting, singleton_counting};
 use shmem_emulation::core::critical::{find_critical_pair, valency_profile};
@@ -21,8 +21,10 @@ fn abd_world() -> Sim<Abd> {
     let spec = ValueSpec::from_cardinality(8);
     Sim::new(
         SimConfig::without_gossip(),
-        (0..5).map(|_| AbdServer::new(0, spec)).collect(),
-        (0..2).map(|c| AbdClient::new(5, c)).collect(),
+        (0..5)
+            .map(|_| ShardedAbdServerOn::register(0, spec))
+            .collect(),
+        (0..2).map(|c| ShardedAbdClient::register(5, c)).collect(),
     )
 }
 
@@ -30,8 +32,8 @@ fn lossy_world() -> Sim<Lossy> {
     let spec = ValueSpec::from_cardinality(8);
     Sim::new(
         SimConfig::without_gossip(),
-        (0..5).map(|_| LossyServer::new(0, 1, spec)).collect(),
-        (0..2).map(|c| AbdClient::new(5, c)).collect(),
+        (0..5).map(|_| lossy_server(0, 1, spec)).collect(),
+        (0..2).map(|c| ShardedAbdClient::register(5, c)).collect(),
     )
 }
 

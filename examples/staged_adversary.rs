@@ -9,7 +9,7 @@
 //! cargo run --example staged_adversary
 //! ```
 
-use shmem_emulation::algorithms::abd::{self, Abd, AbdClient, AbdServer};
+use shmem_emulation::algorithms::abd::{self, Abd, ShardedAbdClient, ShardedAbdServerOn};
 use shmem_emulation::algorithms::cas::{self, Cas, CasClient, CasConfig, CasServer};
 use shmem_emulation::algorithms::value::ValueSpec;
 use shmem_emulation::core::multiwrite::{staged_search, vector_counting, MultiWriteSetup};
@@ -19,8 +19,10 @@ fn abd_world() -> Sim<Abd> {
     let spec = ValueSpec::from_cardinality(8);
     Sim::new(
         SimConfig::without_gossip(),
-        (0..5).map(|_| AbdServer::new(0, spec)).collect(),
-        (0..3).map(|c| AbdClient::new(5, c)).collect(),
+        (0..5)
+            .map(|_| ShardedAbdServerOn::register(0, spec))
+            .collect(),
+        (0..3).map(|c| ShardedAbdClient::register(5, c)).collect(),
     )
 }
 

@@ -24,7 +24,7 @@ echo "==> fuzz gate: differential + mutator properties (release)"
 cargo test --release -q --test fuzz_differential
 cargo test --release -q -p shmem-algorithms --test mutator_properties
 
-echo "==> shard gate: batch-1 ≡ legacy differential + chaos projections (release)"
+echo "==> shard gate: batch-1 ≡ recorded ABD / single-register CAS differential + chaos projections (release)"
 cargo test --release -q -p shmem-algorithms --test shard_differential
 
 echo "==> net gate: TCP/in-proc differential + wire properties + fault soup (release)"

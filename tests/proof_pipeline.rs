@@ -2,9 +2,9 @@
 //! Theorem B.1 / 4.1 / 6.5 pipelines against ABD and CAS, and the
 //! refutation of the lossy cheat.
 
-use shmem_emulation::algorithms::abd::{self, Abd, AbdClient, AbdServer};
+use shmem_emulation::algorithms::abd::{self, Abd, ShardedAbdClient, ShardedAbdServerOn};
 use shmem_emulation::algorithms::cas::{self, Cas, CasClient, CasConfig, CasServer};
-use shmem_emulation::algorithms::lossy::{Lossy, LossyServer};
+use shmem_emulation::algorithms::lossy::{lossy_server, Lossy};
 use shmem_emulation::algorithms::value::ValueSpec;
 use shmem_emulation::core::counting::{pairwise_counting, singleton_counting};
 use shmem_emulation::core::critical::find_critical_pair;
@@ -19,8 +19,10 @@ fn abd_world(n: u32, card: u64) -> Sim<Abd> {
     let spec = ValueSpec::from_cardinality(card);
     Sim::new(
         SimConfig::without_gossip(),
-        (0..n).map(|_| AbdServer::new(0, spec)).collect(),
-        (0..3).map(|c| AbdClient::new(n, c)).collect(),
+        (0..n)
+            .map(|_| ShardedAbdServerOn::register(0, spec))
+            .collect(),
+        (0..3).map(|c| ShardedAbdClient::register(n, c)).collect(),
     )
 }
 
@@ -80,8 +82,10 @@ fn theorem_65_pipeline_abd_nu3() {
         let spec = ValueSpec::from_cardinality(8);
         Sim::<Abd>::new(
             SimConfig::without_gossip(),
-            (0..5).map(|_| AbdServer::new(0, spec)).collect(),
-            (0..4).map(|c| AbdClient::new(5, c)).collect(),
+            (0..5)
+                .map(|_| ShardedAbdServerOn::register(0, spec))
+                .collect(),
+            (0..4).map(|c| ShardedAbdClient::register(5, c)).collect(),
         )
     };
     let profile = staged_search(make, &setup, &[1, 2, 3], 8).expect("profile");
@@ -130,8 +134,8 @@ fn lossy_pipeline_refuted_at_every_level() {
         let spec = ValueSpec::from_cardinality(16);
         Sim::<Lossy>::new(
             SimConfig::without_gossip(),
-            (0..5).map(|_| LossyServer::new(0, 1, spec)).collect(),
-            (0..2).map(|c| AbdClient::new(5, c)).collect(),
+            (0..5).map(|_| lossy_server(0, 1, spec)).collect(),
+            (0..2).map(|c| ShardedAbdClient::register(5, c)).collect(),
         )
     };
     // Level 1: a valency probe after write(2) returns a truncated value.
@@ -172,10 +176,10 @@ fn vector_counting_nu3_abd() {
         Sim::<Abd>::new(
             SimConfig::without_gossip(),
             (0..5)
-                .map(|_| shmem_emulation::algorithms::abd::AbdServer::new(0, spec))
+                .map(|_| shmem_emulation::algorithms::abd::ShardedAbdServerOn::register(0, spec))
                 .collect(),
             (0..4)
-                .map(|c| shmem_emulation::algorithms::abd::AbdClient::new(5, c))
+                .map(|c| shmem_emulation::algorithms::abd::ShardedAbdClient::register(5, c))
                 .collect(),
         )
     };

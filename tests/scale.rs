@@ -54,15 +54,17 @@ fn abd_fifty_servers() {
 fn proof_machinery_at_n9() {
     // The full Theorem 4.1 pipeline at N = 9, f = 4 (bigger state space
     // than the unit tests' N = 5).
-    use shmem_emulation::algorithms::abd::{Abd, AbdClient, AbdServer};
+    use shmem_emulation::algorithms::abd::{Abd, ShardedAbdClient, ShardedAbdServerOn};
     use shmem_emulation::core::counting::pairwise_counting;
     use shmem_emulation::sim::{ClientId, Sim, SimConfig};
     let make = || {
         let spec = ValueSpec::from_cardinality(4);
         Sim::<Abd>::new(
             SimConfig::without_gossip(),
-            (0..9).map(|_| AbdServer::new(0, spec)).collect(),
-            (0..2).map(|c| AbdClient::new(9, c)).collect(),
+            (0..9)
+                .map(|_| ShardedAbdServerOn::register(0, spec))
+                .collect(),
+            (0..2).map(|c| ShardedAbdClient::register(9, c)).collect(),
         )
     };
     let report = pairwise_counting(make, ClientId(0), ClientId(1), 4, &[1, 2, 3], false, 1);
