@@ -236,20 +236,22 @@ where
     fn on_message(&mut self, from: NodeId, msg: ShardedAbdMsg, ctx: &mut Ctx<P>) {
         match msg {
             ShardedAbdMsg::Query { rid, keys } => {
-                let items = keys
-                    .iter()
-                    .map(|&k| {
-                        let (t, v) = self.entry(k);
-                        (k, t, v)
-                    })
-                    .collect();
-                ctx.send(from, ShardedAbdMsg::QueryResp { rid, items });
+                ctx.send_with(from, || {
+                    let items = keys
+                        .iter()
+                        .map(|&k| {
+                            let (t, v) = self.entry(k);
+                            (k, t, v)
+                        })
+                        .collect();
+                    ShardedAbdMsg::QueryResp { rid, items }
+                });
             }
             ShardedAbdMsg::Store { rid, items } => {
                 for &(key, tag, value) in items.iter() {
                     self.backend.store_if_newer(key, tag, value);
                 }
-                ctx.send(from, ShardedAbdMsg::StoreAck { rid });
+                ctx.send_with(from, || ShardedAbdMsg::StoreAck { rid });
             }
             ShardedAbdMsg::QueryResp { .. } | ShardedAbdMsg::StoreAck { .. } => {
                 // Servers never receive responses; tolerate and ignore.
@@ -392,12 +394,12 @@ impl ShardedAbdClient {
         I: Iterator<Item = T> + Clone,
     {
         for server in 0..self.map.n() {
-            let items: Items<T> = entries
+            let mut items = entries
                 .clone()
                 .filter(|e| self.map.covers(server, key(e)))
-                .collect();
-            if !items.is_empty() {
-                ctx.send(NodeId::server(server), make(self.rid, items));
+                .peekable();
+            if items.peek().is_some() {
+                ctx.send_with(NodeId::server(server), || make(self.rid, items.collect()));
             }
         }
     }
