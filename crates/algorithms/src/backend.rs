@@ -185,11 +185,8 @@ impl OneSlot {
         }
     }
 
-    /// Corruption-adversary entry point: fabricate the stored pair —
-    /// tamper the value and forge a higher tag (writer
-    /// [`crate::corrupt::FORGED_WRITER`]) so the fabrication wins the
-    /// reader's max-tag fold. Replication holds exactly one version, so
-    /// all modes collapse to this one attack, and it always applies.
+    /// Corruption-adversary entry point: [`LocalAbd::corrupt`]'s attack
+    /// on the one pair. The slot always holds a pair, so it always applies.
     pub fn corrupt(&mut self, _mode: u8, salt: u64) -> bool {
         self.tag = self.tag.successor(crate::corrupt::FORGED_WRITER);
         self.value = shmem_util::tamper_value(self.value, salt, 0);
