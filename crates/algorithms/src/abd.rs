@@ -18,13 +18,13 @@
 //! [`FromBatch`]). [`ShardedAbd`] serves a keyspace; [`Abd`] and its
 //! variants ([`crate::abd_gossip`], [`crate::swmr`],
 //! [`crate::nowriteback`], [`crate::lossy`]) serve one register, the
-//! one-key batch at key 0 of [`ShardMap::full`].
+//! one-key batch at key 0 of [`ShardMap::full`], in [`RegisterMsg`]s.
 //!
 //! ABD sends no server-to-server messages, so it is a member of the
 //! Theorem 4.1 (no-gossip) algorithm class.
 
 use crate::backend::{AbdBackend, LocalAbd, OneSlot};
-use crate::multikey::{assert_well_formed, FromBatch, IntoBatch, Items};
+use crate::multikey::{assert_well_formed, Batch, FromBatch, IntoBatch, ListKind, Register};
 use crate::multikey::{Key, MultiInv, MultiResp, ShardMap, KEY_WIRE_BYTES, RID_WIRE_BYTES};
 use crate::reg::{RegInv, RegResp};
 use crate::tag::Tag;
@@ -37,13 +37,13 @@ use std::collections::{BTreeMap, BTreeSet};
 pub struct Abd;
 
 impl Protocol for Abd {
-    type Msg = ShardedAbdMsg;
+    type Msg = RegisterMsg;
     type Inv = RegInv;
     type Resp = RegResp;
     type Server = ShardedAbdServerOn<OneSlot>;
     type Client = ShardedAbdClient;
 
-    fn msg_wire_bytes(msg: &ShardedAbdMsg) -> u64 {
+    fn msg_wire_bytes(msg: &RegisterMsg) -> u64 {
         msg.wire_bytes()
     }
 
@@ -51,7 +51,7 @@ impl Protocol for Abd {
         server.backend_mut().corrupt(mode, salt)
     }
 
-    fn corrupt_msg(msg: &mut ShardedAbdMsg, salt: u64) -> bool {
+    fn corrupt_msg(msg: &mut RegisterMsg, salt: u64) -> bool {
         corrupt_abd_msg(msg, salt)
     }
 }
@@ -61,14 +61,14 @@ impl Protocol for Abd {
 /// client-to-server traffic — what the Section 6 construction withholds.
 /// Only `Store` carries the value, so ABD writes send value-dependent
 /// messages in exactly one phase (the second): ABD satisfies Assumption 3.
-pub fn is_value_dependent_upstream(msg: &ShardedAbdMsg) -> bool {
+pub fn is_value_dependent_upstream<L: ListKind>(msg: &ShardedAbdMsg<L>) -> bool {
     matches!(msg, ShardedAbdMsg::Store { .. })
 }
 
 /// In-flight corruption for the ABD repertoire: tamper the carried values
 /// of the value-bearing messages (salted per key), leave routing, nonces,
 /// keys and tags intact. Queries and acks carry no corruptible payload.
-fn corrupt_abd_msg(msg: &mut ShardedAbdMsg, salt: u64) -> bool {
+fn corrupt_abd_msg<L: ListKind>(msg: &mut ShardedAbdMsg<L>, salt: u64) -> bool {
     match msg {
         ShardedAbdMsg::QueryResp { items, .. } | ShardedAbdMsg::Store { items, .. } => {
             for (key, _, value) in items.iter_mut() {
@@ -112,21 +112,26 @@ impl Protocol for ShardedAbd {
 /// ABD wire messages: per-key payload lists under one phase nonce. `rid`
 /// is the per-client phase nonce; stale responses are discarded by nonce
 /// mismatch.
+///
+/// `L` picks the list type: the keyed protocols' [`Batch`] lists hold any
+/// number of keys; the single-register protocols' [`Register`] lists
+/// ([`RegisterMsg`]) hold exactly key 0 and own no heap memory. Both print
+/// and serialize alike.
 #[derive(Clone, Debug, PartialEq)]
-pub enum ShardedAbdMsg {
+pub enum ShardedAbdMsg<L: ListKind = Batch> {
     /// Phase 1: ask a server for its `(tag, value)` of every listed key.
     Query {
         /// Phase nonce.
         rid: u64,
         /// The keys this server covers for the batch.
-        keys: Items<Key>,
+        keys: L::List<Key>,
     },
     /// Server's phase-1 reply, one entry per queried key.
     QueryResp {
         /// Echoed nonce.
         rid: u64,
         /// `(key, tag, value)` for every queried key.
-        items: Items<(Key, Tag, Value)>,
+        items: L::List<(Key, Tag, Value)>,
     },
     /// Phase 2: store every listed `(key, tag, value)` (write propagation
     /// or read write-back).
@@ -134,7 +139,7 @@ pub enum ShardedAbdMsg {
         /// Phase nonce.
         rid: u64,
         /// The batch's versions for this server's keys.
-        items: Items<(Key, Tag, Value)>,
+        items: L::List<(Key, Tag, Value)>,
     },
     /// Server's phase-2 acknowledgement, covering every key of the
     /// [`ShardedAbdMsg::Store`] it answers.
@@ -144,7 +149,10 @@ pub enum ShardedAbdMsg {
     },
 }
 
-impl ShardedAbdMsg {
+/// The single-register ABD message: one `(key 0)` entry per list.
+pub type RegisterMsg = ShardedAbdMsg<Register>;
+
+impl<L: ListKind> ShardedAbdMsg<L> {
     /// Exact serialized size: nonce plus per-entry payload. This is what
     /// the metrics ledger charges (via [`Protocol::msg_wire_bytes`]), so
     /// `wire_bytes` reflects the batched encoding rather than the enum's
@@ -228,30 +236,29 @@ impl<B: AbdBackend> ShardedAbdServerOn<B> {
     }
 }
 
-impl<P, B> Node<P> for ShardedAbdServerOn<B>
+impl<P, B, L> Node<P> for ShardedAbdServerOn<B>
 where
-    P: Protocol<Msg = ShardedAbdMsg>,
+    P: Protocol<Msg = ShardedAbdMsg<L>>,
     B: AbdBackend + Clone + std::fmt::Debug,
+    L: ListKind,
 {
-    fn on_message(&mut self, from: NodeId, msg: ShardedAbdMsg, ctx: &mut Ctx<P>) {
+    fn on_message(&mut self, from: NodeId, msg: ShardedAbdMsg<L>, ctx: &mut Ctx<P>) {
         match msg {
             ShardedAbdMsg::Query { rid, keys } => {
-                ctx.send_with(from, || {
-                    let items = keys
-                        .iter()
-                        .map(|&k| {
-                            let (t, v) = self.entry(k);
-                            (k, t, v)
-                        })
-                        .collect();
-                    ShardedAbdMsg::QueryResp { rid, items }
-                });
+                let items = keys
+                    .iter()
+                    .map(|&k| {
+                        let (t, v) = self.entry(k);
+                        (k, t, v)
+                    })
+                    .collect();
+                ctx.send(from, ShardedAbdMsg::QueryResp { rid, items });
             }
             ShardedAbdMsg::Store { rid, items } => {
                 for &(key, tag, value) in items.iter() {
                     self.backend.store_if_newer(key, tag, value);
                 }
-                ctx.send_with(from, || ShardedAbdMsg::StoreAck { rid });
+                ctx.send(from, ShardedAbdMsg::StoreAck { rid });
             }
             ShardedAbdMsg::QueryResp { .. } | ShardedAbdMsg::StoreAck { .. } => {
                 // Servers never receive responses; tolerate and ignore.
@@ -368,13 +375,22 @@ impl ShardedAbdClient {
         }
     }
 
-    fn start_query<P: Protocol<Msg = ShardedAbdMsg>>(&mut self, ctx: &mut Ctx<P>) {
+    /// Opens a phase under a fresh nonce, with no server heard yet.
+    fn open_phase(&mut self, phase: Phase) {
         self.rid += 1;
-        self.phase = Phase::Query;
+        self.phase = phase;
         self.heard.clear();
+    }
+
+    fn start_query<L, P>(&mut self, ctx: &mut Ctx<P>)
+    where
+        L: ListKind,
+        P: Protocol<Msg = ShardedAbdMsg<L>>,
+    {
         self.replies.clear();
         self.counts.clear();
         self.counts.resize(self.ops.len(), 0);
+        self.open_phase(Phase::Query);
         let keys = self.ops.iter().map(|&(k, _)| k);
         let query = |rid, keys| ShardedAbdMsg::Query { rid, keys };
         self.send_round(keys, |&k| k, query, ctx);
@@ -383,33 +399,51 @@ impl ShardedAbdClient {
     /// Sends one round under the current nonce: each server, in canonical
     /// order, gets the message `make` builds from the entries whose keys it
     /// covers, and nothing if it covers none.
-    fn send_round<P, T, I>(
+    fn send_round<L, P, T, I>(
         &self,
         entries: I,
         key: impl Fn(&T) -> Key,
-        make: impl Fn(u64, Items<T>) -> ShardedAbdMsg,
+        make: impl Fn(u64, L::List<T>) -> ShardedAbdMsg<L>,
         ctx: &mut Ctx<P>,
     ) where
-        P: Protocol<Msg = ShardedAbdMsg>,
+        L: ListKind,
+        P: Protocol<Msg = ShardedAbdMsg<L>>,
+        T: Clone + std::fmt::Debug + PartialEq,
         I: Iterator<Item = T> + Clone,
     {
+        let mut shards = entries.clone().map(|e| self.map.shard_of(key(&e)));
+        let first = shards.next();
+        if let Some(shard) = first.filter(|&s| shards.all(|t| t == s)) {
+            // One shard holds the whole round (a single key, say): its
+            // servers all get the same message.
+            let msg = make(self.rid, entries.collect());
+            for server in 0..self.map.n() {
+                if self.map.position_in_shard(server, shard).is_some() {
+                    ctx.send(NodeId::server(server), msg.clone());
+                }
+            }
+            return;
+        }
         for server in 0..self.map.n() {
             let mut items = entries
                 .clone()
                 .filter(|e| self.map.covers(server, key(e)))
                 .peekable();
             if items.peek().is_some() {
-                ctx.send_with(NodeId::server(server), || make(self.rid, items.collect()));
+                ctx.send(NodeId::server(server), make(self.rid, items.collect()));
             }
         }
     }
 
-    /// Counts `server`'s reply; at the barrier, decides. Returns whether
-    /// the operation completed.
-    fn on_reply<P>(&mut self, server: u32, items: &[(Key, Tag, Value)], ctx: &mut Ctx<P>) -> bool
-    where
-        P: Protocol<Msg = ShardedAbdMsg>,
-    {
+    /// Whether every batch entry has its shard majority.
+    fn barrier(&self) -> bool {
+        self.counts.iter().all(|&c| c >= self.map.majority())
+    }
+
+    /// Counts `server`'s reply. Returns whether the query barrier was
+    /// reached.
+    #[inline]
+    fn on_reply(&mut self, server: u32, items: &[(Key, Tag, Value)]) -> bool {
         if self.heard.contains(&server) {
             // A duplicated query, answered twice. ABD counts a server's
             // first reply; the single-writer and write-back-less clients
@@ -435,15 +469,18 @@ impl ShardedAbdClient {
                 self.replies.push((server, key, tag, value));
             }
         }
-        let majority = self.map.majority();
-        self.counts.iter().all(|&c| c >= majority) && self.decide(ctx)
+        self.barrier()
     }
 
     /// The query barrier: every key has its shard majority. Decides each
     /// key's outcome and the versions to store, then sends the store round
     /// — unless nothing needs storing. Returns whether the operation
     /// completed.
-    fn decide<P: Protocol<Msg = ShardedAbdMsg>>(&mut self, ctx: &mut Ctx<P>) -> bool {
+    fn decide<L, P>(&mut self, ctx: &mut Ctx<P>) -> bool
+    where
+        L: ListKind,
+        P: Protocol<Msg = ShardedAbdMsg<L>>,
+    {
         let majority = self.map.majority();
         self.stores.clear();
         self.outcomes.clear();
@@ -486,15 +523,14 @@ impl ShardedAbdClient {
         if self.stores.is_empty() {
             return true;
         }
-        self.rid += 1;
-        self.phase = Phase::Store;
-        self.heard.clear();
+        self.open_phase(Phase::Store);
         let store = |rid, items| ShardedAbdMsg::Store { rid, items };
         self.send_round(self.stores.iter().copied(), |e| e.0, store, ctx);
         false
     }
 
     /// Counts `server`'s ack. Returns whether the operation completed.
+    #[inline]
     fn on_ack(&mut self, server: u32) -> bool {
         if self.heard.contains(&server) {
             return false; // duplicated ack
@@ -505,8 +541,7 @@ impl ShardedAbdClient {
                 self.counts[i] += 1;
             }
         }
-        let majority = self.map.majority();
-        self.counts.iter().all(|&c| c >= majority)
+        self.barrier()
     }
 
     /// The digest of ABD's client state. The reply and ack sets are
@@ -514,7 +549,8 @@ impl ShardedAbdClient {
     /// they are canonicalized by server — arrival order must not
     /// distinguish digests. A one-key batch at key 0 *is* a register
     /// client's state and digests without keys; any other batch also
-    /// hashes its keys.
+    /// hashes its keys, and the phase's per-key state: the batch while
+    /// querying, the outcomes while storing.
     fn abd_digest(&self) -> u64 {
         let mut replies: Vec<(u32, Key, Tag, Value)> = Vec::new();
         let mut acks: Vec<u32> = Vec::new();
@@ -538,7 +574,11 @@ impl ShardedAbdClient {
             return digest;
         }
         let keys: Vec<Key> = replies.iter().map(|r| r.1).collect();
-        hash_of(&(digest, format!("{:?}{:?}", self.ops, self.outcomes), keys))
+        let batch = match self.phase {
+            Phase::Query => format!("{:?}", self.ops),
+            _ => format!("{:?}", self.outcomes),
+        };
+        hash_of(&(digest, batch, keys))
     }
 
     /// The write-back-less client's digest: its phase as it prints, with
@@ -572,11 +612,12 @@ impl ShardedAbdClient {
     }
 }
 
-impl<P> Node<P> for ShardedAbdClient
+impl<P, L> Node<P> for ShardedAbdClient
 where
-    P: Protocol<Msg = ShardedAbdMsg>,
+    P: Protocol<Msg = ShardedAbdMsg<L>>,
     P::Inv: IntoBatch,
     P::Resp: FromBatch,
+    L: ListKind,
 {
     fn on_invoke(&mut self, inv: P::Inv, ctx: &mut Ctx<P>) {
         assert!(
@@ -586,18 +627,13 @@ where
         self.ops.clear();
         inv.into_batch(&mut self.ops);
         assert_well_formed(&self.ops);
-        let writes = self
-            .ops
-            .iter()
-            .filter(|(_, op)| *op != RegInv::Read)
-            .count();
-        if self.variant == Variant::SingleWriter && writes > 0 {
+        if self.variant == Variant::SingleWriter && self.ops.iter().any(|op| op.1 != RegInv::Read) {
             assert_eq!(
                 self.me, 0,
                 "single-writer register: only client 0 may write"
             );
             self.seq += 1;
-            if writes == self.ops.len() {
+            if self.ops.iter().all(|op| op.1 != RegInv::Read) {
                 // The writer owns the tag sequence: one phase, no query.
                 self.decide(ctx);
                 return;
@@ -606,15 +642,17 @@ where
         self.start_query(ctx);
     }
 
-    fn on_message(&mut self, from: NodeId, msg: ShardedAbdMsg, ctx: &mut Ctx<P>) {
+    fn on_message(&mut self, from: NodeId, msg: ShardedAbdMsg<L>, ctx: &mut Ctx<P>) {
         let Some(server) = from.as_server() else {
             return; // clients only talk to servers
         };
-        let done = match (self.phase, msg) {
-            (Phase::Query, ShardedAbdMsg::QueryResp { rid, items }) if rid == self.rid => {
-                self.on_reply(server.0, &items, ctx)
+        let done = match msg {
+            ShardedAbdMsg::QueryResp { rid, items }
+                if rid == self.rid && self.phase == Phase::Query =>
+            {
+                self.on_reply(server.0, &items) && self.decide(ctx)
             }
-            (Phase::Store, ShardedAbdMsg::StoreAck { rid }) if rid == self.rid => {
+            ShardedAbdMsg::StoreAck { rid } if rid == self.rid && self.phase == Phase::Store => {
                 self.on_ack(server.0)
             }
             _ => false, // stale or out-of-phase message
@@ -638,6 +676,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::multikey::One;
     use shmem_sim::{ClientId, ServerId, Sim, SimConfig};
 
     fn cluster(n: u32, clients: u32) -> Sim<Abd> {
@@ -785,6 +824,33 @@ mod tests {
     }
 
     #[test]
+    fn query_digest_forgets_the_previous_operation() {
+        // Two clients that reach the same query state after different
+        // earlier operations behave alike from there on, so they must
+        // digest alike.
+        let mut sim = sharded(ShardMap::full(3), 2);
+        sim.invoke(ClientId(0), MultiInv::writes(&[(1, 5)]))
+            .unwrap();
+        sim.run_until_op_completes(ClientId(0)).unwrap();
+        sim.invoke(ClientId(1), MultiInv::reads(&[1])).unwrap();
+        sim.run_until_op_completes(ClientId(1)).unwrap();
+        sim.run_to_quiescence().unwrap();
+        let (mut a, mut b) = (
+            sim.client(ClientId(0)).clone(),
+            sim.client(ClientId(1)).clone(),
+        );
+        b.me = a.me;
+        let mut ctx = Ctx::<ShardedAbd>::new(NodeId::client(0), 0);
+        for c in [&mut a, &mut b] {
+            Node::<ShardedAbd>::on_invoke(c, MultiInv::reads(&[2, 3]), &mut ctx);
+        }
+        assert_eq!(
+            Node::<ShardedAbd>::digest(&a),
+            Node::<ShardedAbd>::digest(&b)
+        );
+    }
+
+    #[test]
     fn sharded_mixed_batch_and_tag_discipline() {
         let mut sim = sharded(ShardMap::full(3), 1);
         sim.invoke(ClientId(0), MultiInv::writes(&[(4, 40)]))
@@ -857,24 +923,41 @@ mod tests {
 
     #[test]
     fn sharded_wire_bytes_scale_with_batch() {
-        let q1 = ShardedAbdMsg::Query {
+        let q1: ShardedAbdMsg = ShardedAbdMsg::Query {
             rid: 1,
             keys: vec![1].into(),
-        }
-        .wire_bytes();
-        let q4 = ShardedAbdMsg::Query {
+        };
+        let q4: ShardedAbdMsg = ShardedAbdMsg::Query {
             rid: 1,
             keys: vec![1, 2, 3, 4].into(),
-        }
-        .wire_bytes();
-        assert_eq!(q1, 16);
-        assert_eq!(q4, 40);
-        let s = ShardedAbdMsg::Store {
+        };
+        assert_eq!(q1.wire_bytes(), 16);
+        assert_eq!(q4.wire_bytes(), 40);
+        let s: ShardedAbdMsg = ShardedAbdMsg::Store {
             rid: 1,
             items: vec![(1, Tag::new(1, 0), 7), (2, Tag::new(1, 0), 8)].into(),
         };
         assert_eq!(s.wire_bytes(), 8 + 2 * 28);
-        assert_eq!(ShardedAbdMsg::StoreAck { rid: 1 }.wire_bytes(), 8);
+        let ack: ShardedAbdMsg = ShardedAbdMsg::StoreAck { rid: 1 };
+        assert_eq!(ack.wire_bytes(), 8);
+    }
+
+    #[test]
+    fn register_messages_are_one_key_batches_without_heap() {
+        let item = (0, Tag::new(3, 1), 9);
+        let reg: RegisterMsg = ShardedAbdMsg::Store {
+            rid: 2,
+            items: One(item),
+        };
+        let keyed: ShardedAbdMsg = ShardedAbdMsg::Store {
+            rid: 2,
+            items: vec![item].into(),
+        };
+        assert_eq!(reg.wire_bytes(), keyed.wire_bytes());
+        assert_eq!(format!("{reg:?}"), format!("{keyed:?}"));
+        // What keeps the single-register step loop as cheap as the keyed
+        // automaton's one-key path allows: no destructor, no heap variant.
+        assert!(!std::mem::needs_drop::<RegisterMsg>());
     }
 
     #[test]

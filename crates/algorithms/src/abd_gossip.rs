@@ -9,8 +9,9 @@
 //! critical-pair argument must account for the extra channel state
 //! (Lemma 5.8(c)).
 
-use crate::abd::{ShardedAbdClient, ShardedAbdMsg, ShardedAbdServerOn};
+use crate::abd::{RegisterMsg, ShardedAbdClient, ShardedAbdMsg, ShardedAbdServerOn};
 use crate::backend::{AbdBackend, OneSlot};
+use crate::multikey::One;
 use crate::reg::{RegInv, RegResp};
 use crate::tag::Tag;
 use crate::value::{Value, ValueSpec};
@@ -20,13 +21,13 @@ use shmem_sim::{hash_of, Ctx, Node, NodeId, Protocol};
 pub struct AbdGossip;
 
 impl Protocol for AbdGossip {
-    type Msg = ShardedAbdMsg;
+    type Msg = RegisterMsg;
     type Inv = RegInv;
     type Resp = RegResp;
     type Server = GossipServer;
     type Client = ShardedAbdClient;
 
-    fn msg_wire_bytes(msg: &ShardedAbdMsg) -> u64 {
+    fn msg_wire_bytes(msg: &RegisterMsg) -> u64 {
         msg.wire_bytes()
     }
 }
@@ -68,16 +69,15 @@ impl GossipServer {
 }
 
 impl Node<AbdGossip> for GossipServer {
-    fn on_message(&mut self, from: NodeId, msg: ShardedAbdMsg, ctx: &mut Ctx<AbdGossip>) {
+    fn on_message(&mut self, from: NodeId, msg: RegisterMsg, ctx: &mut Ctx<AbdGossip>) {
         if let ShardedAbdMsg::Store { items, .. } = &msg {
             for &item in items.iter() {
                 if item.1 > self.forwarded {
                     self.forwarded = item.1;
                     for peer in (0..self.n).filter(|&p| p != self.me) {
-                        let items = std::iter::once(item).collect();
                         let gossip = ShardedAbdMsg::Store {
                             rid: GOSSIP_RID,
-                            items,
+                            items: One(item),
                         };
                         ctx.send(NodeId::server(peer), gossip);
                     }

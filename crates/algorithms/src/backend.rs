@@ -169,11 +169,14 @@ impl AbdBackend for LocalAbd {
 ///
 /// Unlike [`LocalAbd`] the slot exists from the start, at
 /// `(Tag::ZERO, initial)`: it always counts as one held key, stores no key
-/// name, digests as the bare pair, and can always be corrupted.
+/// name, digests as the bare pair, and can always be corrupted. A
+/// [`OneSlot::masked`] slot is the lossy strawman's cheat.
 #[derive(Clone, Debug)]
 pub struct OneSlot {
     tag: Tag,
     value: Value,
+    /// Applied to every stored value: all ones unless masked.
+    mask: Value,
 }
 
 impl OneSlot {
@@ -182,6 +185,23 @@ impl OneSlot {
         OneSlot {
             tag: Tag::ZERO,
             value: initial,
+            mask: Value::MAX,
+        }
+    }
+
+    /// A register that keeps only the low `kept_bits` of every value it
+    /// stores, `initial` included (honest storage would keep `log2|V|`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `kept_bits >= 64` (use an honest slot instead).
+    pub fn masked(initial: Value, kept_bits: u32) -> OneSlot {
+        assert!(kept_bits < 64, "lossy server must actually lose bits");
+        let mask = (1 << kept_bits) - 1;
+        OneSlot {
+            tag: Tag::ZERO,
+            value: initial & mask,
+            mask,
         }
     }
 
@@ -203,13 +223,23 @@ impl AbdBackend for OneSlot {
         let newer = tag > self.tag;
         if newer {
             self.tag = tag;
-            self.value = value;
+            self.value = value & self.mask;
         }
         newer
     }
 
     fn keys_held(&self) -> usize {
         1
+    }
+
+    fn state_bits(&self, value_bits: f64) -> f64 {
+        // Honest accounting of a masked slot: its value ranges over only
+        // 2^kept_bits states.
+        if self.mask == Value::MAX {
+            value_bits
+        } else {
+            f64::from(self.mask.count_ones()).min(value_bits)
+        }
     }
 
     fn metadata_bits(&self) -> f64 {

@@ -7,90 +7,40 @@
 //! falsification target the proof machinery in `shmem-core` is validated
 //! against (a checker that never flags anything proves nothing).
 
-use crate::abd::{ShardedAbdClient, ShardedAbdMsg, ShardedAbdServerOn};
-use crate::backend::{AbdBackend, OneSlot};
-use crate::multikey::Key;
+use crate::abd::{RegisterMsg, ShardedAbdClient, ShardedAbdServerOn};
+use crate::backend::OneSlot;
 use crate::reg::{RegInv, RegResp};
-use crate::tag::Tag;
 use crate::value::{Value, ValueSpec};
 use shmem_sim::Protocol;
 
-/// Protocol marker for the lossy strawman: ABD over [`Masked`] servers.
+/// Protocol marker for the lossy strawman: ABD over masked
+/// ([`OneSlot::masked`]) servers.
 pub struct Lossy;
 
 impl Protocol for Lossy {
-    type Msg = ShardedAbdMsg;
+    type Msg = RegisterMsg;
     type Inv = RegInv;
     type Resp = RegResp;
-    type Server = ShardedAbdServerOn<Masked>;
+    type Server = ShardedAbdServerOn<OneSlot>;
     type Client = ShardedAbdClient;
 
-    fn msg_wire_bytes(msg: &ShardedAbdMsg) -> u64 {
+    fn msg_wire_bytes(msg: &RegisterMsg) -> u64 {
         msg.wire_bytes()
     }
 }
 
-/// The cheat as an ABD backend: a [`OneSlot`] register that keeps only the
-/// low `kept_bits` of every stored value.
-#[derive(Clone, Debug)]
-pub struct Masked {
-    slot: OneSlot,
-    kept_bits: u32,
-}
-
-impl Masked {
-    /// A register keeping `kept_bits` bits per value (the cheat: honest
-    /// storage would need `log2|V|`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `kept_bits >= 64` (use the honest ABD server instead).
-    pub fn new(initial: Value, kept_bits: u32) -> Masked {
-        assert!(kept_bits < 64, "lossy server must actually lose bits");
-        let mask = (1u64 << kept_bits) - 1;
-        Masked {
-            slot: OneSlot::new(initial & mask),
-            kept_bits,
-        }
-    }
-}
-
-impl AbdBackend for Masked {
-    fn load(&self, key: Key) -> Option<(Tag, Value)> {
-        self.slot.load(key)
-    }
-
-    fn store_if_newer(&mut self, key: Key, tag: Tag, value: Value) -> bool {
-        let mask = (1u64 << self.kept_bits) - 1;
-        self.slot.store_if_newer(key, tag, value & mask) // the cheat
-    }
-
-    fn keys_held(&self) -> usize {
-        self.slot.keys_held()
-    }
-
-    fn state_bits(&self, value_bits: f64) -> f64 {
-        // Honest accounting of the dishonest storage: the server's
-        // value-bearing state ranges over only 2^kept_bits states.
-        f64::from(self.kept_bits).min(value_bits)
-    }
-
-    fn metadata_bits(&self) -> f64 {
-        self.slot.metadata_bits()
-    }
-
-    fn digest_with(&self, initial: Value) -> u64 {
-        self.slot.digest_with(initial)
-    }
-}
-
-/// A lossy server: the ABD register server over a [`Masked`] slot.
+/// A lossy server: the ABD register server keeping `kept_bits` bits per
+/// value (the cheat: honest storage would need `spec.bits`).
 ///
 /// # Panics
 ///
-/// Panics if `kept_bits >= 64`.
-pub fn lossy_server(initial: Value, kept_bits: u32, spec: ValueSpec) -> ShardedAbdServerOn<Masked> {
-    ShardedAbdServerOn::with_backend(initial, spec, Masked::new(initial, kept_bits))
+/// Panics if `kept_bits >= 64` (use the honest ABD server instead).
+pub fn lossy_server(
+    initial: Value,
+    kept_bits: u32,
+    spec: ValueSpec,
+) -> ShardedAbdServerOn<OneSlot> {
+    ShardedAbdServerOn::with_backend(initial, spec, OneSlot::masked(initial, kept_bits))
 }
 
 #[cfg(test)]

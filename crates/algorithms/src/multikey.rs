@@ -60,6 +60,8 @@ pub struct ShardMap {
     n: u32,
     shards: u32,
     replicas: u32,
+    /// `max(1, n / shards)`: the offset between consecutive shards.
+    spread: u32,
 }
 
 impl ShardMap {
@@ -78,6 +80,7 @@ impl ShardMap {
             n,
             shards,
             replicas,
+            spread: (n / shards).max(1),
         }
     }
 
@@ -118,8 +121,10 @@ impl ShardMap {
 
     /// First server of `shard`.
     fn base_of(&self, shard: u32) -> u32 {
-        let spread = (self.n / self.shards).max(1);
-        ((u64::from(shard) * u64::from(spread)) % u64::from(self.n)) as u32
+        let (base, n) = (u64::from(shard) * u64::from(self.spread), u64::from(self.n));
+        // Wraps only with more shards than servers: the placement queries
+        // on the message path need no division otherwise.
+        (if base < n { base } else { base % n }) as u32
     }
 
     /// The servers holding `shard`, in canonical (send) order.
@@ -137,7 +142,13 @@ impl ShardMap {
     /// `server`'s position within `shard` (its erasure-share index), or
     /// `None` if the server does not hold the shard.
     pub fn position_in_shard(&self, server: u32, shard: u32) -> Option<u32> {
-        let pos = (server + self.n - self.base_of(shard)) % self.n;
+        debug_assert!(server < self.n, "no server {server} among {}", self.n);
+        let base = self.base_of(shard);
+        let pos = if server >= base {
+            server - base
+        } else {
+            server + self.n - base
+        };
         (pos < self.replicas).then_some(pos)
     }
 
@@ -148,10 +159,6 @@ impl ShardMap {
 
     /// Whether `server` stores `key`.
     pub fn covers(&self, server: u32, key: Key) -> bool {
-        if self.shards == 1 && server < self.n {
-            // The one shard starts at server 0: positions are server ids.
-            return server < self.replicas;
-        }
         self.position_for_key(server, key).is_some()
     }
 }
@@ -321,6 +328,73 @@ impl<T: fmt::Debug> fmt::Debug for Items<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_list().entries(self.iter()).finish()
     }
+}
+
+/// The per-key payload of a single-register message: exactly one entry,
+/// held inline with no heap variant, so the message needs no destructor.
+/// Like [`Items`] it dereferences to a slice and prints as a list.
+#[derive(Clone, Copy, PartialEq)]
+pub struct One<T>(pub T);
+
+impl<T> Deref for One<T> {
+    type Target = [T];
+
+    fn deref(&self) -> &[T] {
+        std::slice::from_ref(&self.0)
+    }
+}
+
+impl<T> DerefMut for One<T> {
+    fn deref_mut(&mut self) -> &mut [T] {
+        std::slice::from_mut(&mut self.0)
+    }
+}
+
+impl<T> FromIterator<T> for One<T> {
+    /// # Panics
+    ///
+    /// Panics unless `iter` yields exactly one entry.
+    fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> One<T> {
+        let mut iter = iter.into_iter();
+        match (iter.next(), iter.next()) {
+            (Some(one), None) => One(one),
+            _ => panic!("a single-register message carries exactly one key"),
+        }
+    }
+}
+
+impl<T: fmt::Debug> fmt::Debug for One<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entry(&self.0).finish()
+    }
+}
+
+/// How a message type holds its per-key lists: [`Batch`] for keyed rounds
+/// of any size, [`Register`] for the single register.
+pub trait ListKind: Clone + fmt::Debug + PartialEq {
+    /// The list of `T`s a message carries.
+    type List<T: Clone + fmt::Debug + PartialEq>: Deref<Target = [T]>
+        + DerefMut
+        + FromIterator<T>
+        + Clone
+        + fmt::Debug
+        + PartialEq;
+}
+
+/// Lists of any length ([`Items`]): the keyed protocols' messages.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Batch;
+
+impl ListKind for Batch {
+    type List<T: Clone + fmt::Debug + PartialEq> = Items<T>;
+}
+
+/// One-entry lists ([`One`]): the single-register protocols' messages.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Register;
+
+impl ListKind for Register {
+    type List<T: Clone + fmt::Debug + PartialEq> = One<T>;
 }
 
 /// Splits a batched execution into one single-register history per key.

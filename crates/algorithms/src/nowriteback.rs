@@ -9,7 +9,7 @@
 //! inversion deterministically — negative validation that the checker
 //! stack and the simulator's adversary controls actually bite.
 
-use crate::abd::{ShardedAbdClient, ShardedAbdMsg, ShardedAbdServerOn};
+use crate::abd::{RegisterMsg, ShardedAbdClient, ShardedAbdServerOn};
 use crate::backend::OneSlot;
 use crate::reg::{RegInv, RegResp};
 use shmem_sim::Protocol;
@@ -20,13 +20,13 @@ use shmem_sim::Protocol;
 pub struct NoWriteBack;
 
 impl Protocol for NoWriteBack {
-    type Msg = ShardedAbdMsg;
+    type Msg = RegisterMsg;
     type Inv = RegInv;
     type Resp = RegResp;
     type Server = ShardedAbdServerOn<OneSlot>;
     type Client = ShardedAbdClient;
 
-    fn msg_wire_bytes(msg: &ShardedAbdMsg) -> u64 {
+    fn msg_wire_bytes(msg: &RegisterMsg) -> u64 {
         msg.wire_bytes()
     }
 }

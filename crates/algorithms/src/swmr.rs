@@ -10,7 +10,7 @@
 //! and the extreme point of the phase-structure spectrum: its write
 //! profile is one burst, trivially satisfying Assumption 3.
 
-use crate::abd::{ShardedAbdClient, ShardedAbdMsg, ShardedAbdServerOn};
+use crate::abd::{RegisterMsg, ShardedAbdClient, ShardedAbdServerOn};
 use crate::backend::OneSlot;
 use crate::reg::{RegInv, RegResp};
 use crate::value::ValueSpec;
@@ -23,13 +23,13 @@ use shmem_sim::Protocol;
 pub struct SwmrAbd;
 
 impl Protocol for SwmrAbd {
-    type Msg = ShardedAbdMsg;
+    type Msg = RegisterMsg;
     type Inv = RegInv;
     type Resp = RegResp;
     type Server = ShardedAbdServerOn<OneSlot>;
     type Client = ShardedAbdClient;
 
-    fn msg_wire_bytes(msg: &ShardedAbdMsg) -> u64 {
+    fn msg_wire_bytes(msg: &RegisterMsg) -> u64 {
         msg.wire_bytes()
     }
 }

@@ -177,14 +177,6 @@ impl<P: Protocol> Ctx<P> {
         self.outbox.push((to, msg));
     }
 
-    /// Sends the message `make` builds to `to`. The outbox makes room
-    /// before `make` runs, so the message is built in place rather than
-    /// copied out of a temporary — cheaper than [`Ctx::send`] for message
-    /// types that own heap data.
-    pub fn send_with(&mut self, to: NodeId, make: impl FnOnce() -> P::Msg) {
-        self.outbox.extend(std::iter::once_with(|| (to, make())));
-    }
-
     /// Sends `msg` to every server in `0..n`.
     pub fn broadcast_to_servers(&mut self, n: u32, msg: P::Msg)
     where

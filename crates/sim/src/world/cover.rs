@@ -102,11 +102,18 @@ impl<P: Protocol> Sim<P> {
     #[inline]
     pub(super) fn cover_step(&mut self, kind: u64, from: NodeId, to: NodeId) {
         if self.coverage_on {
-            let digest = match to {
-                NodeId::Server(s) => <P::Server as Node<P>>::digest(&self.servers[s.0 as usize]),
-                NodeId::Client(c) => <P::Client as Node<P>>::digest(&self.clients[c.0 as usize]),
-            };
-            self.cover(kind, from, to, digest & 0xFFFF);
+            self.cover_digest_step(kind, from, to);
         }
+    }
+
+    /// [`Sim::cover_step`] with coverage on, kept out of line so the node
+    /// digest it calls never weighs on inlining into the step loop.
+    #[inline(never)]
+    fn cover_digest_step(&mut self, kind: u64, from: NodeId, to: NodeId) {
+        let digest = match to {
+            NodeId::Server(s) => <P::Server as Node<P>>::digest(&self.servers[s.0 as usize]),
+            NodeId::Client(c) => <P::Client as Node<P>>::digest(&self.clients[c.0 as usize]),
+        };
+        self.cover(kind, from, to, digest & 0xFFFF);
     }
 }
